@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test cover race vet bench bench-full bench-compare bench-gate bench-baseline profile fuzz serve-smoke shard-smoke clean
+.PHONY: all build test cover race vet bench bench-full bench-compare bench-gate bench-baseline profile profile-cyclesim fuzz serve-smoke shard-smoke clean
 
 all: build test vet
 
@@ -19,6 +19,7 @@ test:
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'
+	$(GO) test -race ./internal/cyclesim -run 'TestRunGangMatchesReferenceRandom|TestCycleSimZeroAllocSteadyState'
 	$(GO) test -race ./internal/storeset
 	$(GO) test -race ./internal/smt -run 'TestSchedBracketingRandom|TestRoundRobinK1BitIdentity'
 	$(GO) test -race ./internal/mem ./internal/prefetch ./internal/annotate \
@@ -49,28 +50,29 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Performance report: micro-benchmarks (engine, gang dispatch at
-# K=1/4/16/32/64, the SMT policy scheduler), the monolithic-vs-segmented
+# Performance report: micro-benchmarks (generator, engine, gang dispatch
+# at K=1/4/16/32/64, the cycle simulator alone and as a K=3 gang, the
+# SMT policy scheduler), the monolithic-vs-segmented
 # capture comparison, the sequential-vs-gang Figure 4 sweep, the
 # ext-storesets disambiguation and ext-smtsched policy sweeps, the
 # uncached / in-heap-cached / memory-mapped Figure 4+5+6 sweeps, plus
 # the peer-mode shard sweep (figure4 through a 3-replica in-process
 # fleet, byte-compared against a solo daemon). `make bench` is the
-# quick loop; `make bench-full` writes the committed BENCH_10.json at
+# quick loop; `make bench-full` writes the committed BENCH_12.json at
 # paper scale, and `make bench-compare` additionally prints deltas
-# against BENCH_9.json.
+# against BENCH_10.json.
 bench:
 	$(GO) run ./cmd/bench -scale quick -out /tmp/bench_quick.json
 
 bench-full:
-	$(GO) run ./cmd/bench -scale default -out BENCH_10.json
+	$(GO) run ./cmd/bench -scale default -out BENCH_12.json
 
 bench-compare:
-	$(GO) run ./cmd/bench -scale default -out BENCH_10.json -compare BENCH_9.json
+	$(GO) run ./cmd/bench -scale default -out BENCH_12.json -compare BENCH_10.json
 
 # profile writes CPU and heap profiles for the engine hot loop, the gang
-# sweep end to end, and the SoA gang stepper in isolation (construction
-# off the clock) into profiles/. Inspect with e.g.
+# sweep end to end, the SoA gang stepper in isolation (construction off
+# the clock), and the cycle simulator into profiles/. Inspect with e.g.
 #   go tool pprof -http=:8080 profiles/gang-soa.cpu.prof   # flamegraph view
 profile:
 	mkdir -p profiles
@@ -82,7 +84,17 @@ profile:
 		-cpuprofile profiles/gang-soa.cpu.prof -memprofile profiles/gang-soa.mem.prof .
 	$(GO) test -run '^$$' -bench 'BenchmarkAnnotateStream$$' -benchtime 5s \
 		-cpuprofile profiles/annotate.cpu.prof -memprofile profiles/annotate.mem.prof ./internal/atrace
+	$(MAKE) profile-cyclesim
 	rm -f mlpsim.test atrace.test
+
+# profile-cyclesim profiles the cycle simulator (BenchmarkCycleSim:
+# annotation plus one simulation) for a flamegraph:
+#   go tool pprof -http=:8080 profiles/cyclesim.cpu.prof
+profile-cyclesim:
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkCycleSim$$' -benchtime 5s \
+		-cpuprofile profiles/cyclesim.cpu.prof -memprofile profiles/cyclesim.mem.prof .
+	rm -f mlpsim.test
 
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzRoundTripV2 -fuzztime 30s

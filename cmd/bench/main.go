@@ -1,5 +1,6 @@
 // Command bench tracks the simulator's performance trajectory: it runs
-// the annotator/replay/engine/gang micro-benchmarks, a
+// the generator/annotator/replay/engine/gang/cycle-simulator
+// micro-benchmarks, a
 // monolithic-vs-segmented capture comparison (the pipelined parallel
 // writer behind MLPCOLS2), the Figure 4+5+6 sweep three ways — uncached,
 // with the in-heap annotated-trace cache, and replaying memory-mapped
@@ -48,6 +49,7 @@ import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
+	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/experiments"
 	"mlpsim/internal/server"
 	"mlpsim/internal/smt"
@@ -243,6 +245,17 @@ func toResult(r testing.BenchmarkResult) benchResult {
 func microBenchmarks(w workload.Config) map[string]benchResult {
 	out := make(map[string]benchResult)
 
+	out["Generator"] = toResult(testing.Benchmark(func(b *testing.B) {
+		g := workload.MustNew(w)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := g.Next(); !ok {
+				b.Fatal("stream ended")
+			}
+		}
+	}))
+
 	out["AnnotateStream"] = toResult(testing.Benchmark(func(b *testing.B) {
 		a := annotate.New(workload.MustNew(w), annotate.Config{})
 		a.Warm(100_000)
@@ -323,6 +336,40 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 			}
 		}))
 	}
+	// The cycle simulator alone (CycleSim, one op = one instruction) and
+	// as a Table 3 gang of three latencies over one decode
+	// (CycleSimGangK3, one op = one config·instruction), both replaying
+	// the captured stream with construction off the clock.
+	for _, c := range []struct {
+		name      string
+		latencies []int
+	}{
+		{"CycleSim", []int{1000}},
+		{"CycleSimGangK3", experiments.Table3Latencies},
+	} {
+		k := len(c.latencies)
+		out[c.name] = toResult(testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for remaining := int64(b.N); remaining > 0; {
+				n := s.Len()
+				if per := (remaining + int64(k) - 1) / int64(k); per < n {
+					n = per
+				}
+				b.StopTimer()
+				cfgs := make([]cyclesim.Config, k)
+				for i := range cfgs {
+					cfgs[i] = cyclesim.Default(c.latencies[i])
+					cfgs[i].MaxInstructions = n
+				}
+				g := cyclesim.NewGang(s.Replay(), cfgs)
+				b.StartTimer()
+				g.Run()
+				remaining -= int64(k) * n
+			}
+		}))
+	}
+
 	// Pure policy replay over fixed synthetic per-thread epoch traces:
 	// one op = one full Schedule pass (K=4 threads, 4k epochs each) under
 	// the most stateful policy. The trace pre-pass is the annotator's
@@ -1044,7 +1091,7 @@ func sameCells(a, b experiments.Figure4) bool {
 
 func main() {
 	scale := flag.String("scale", "quick", "sweep scale: quick or default")
-	out := flag.String("out", "BENCH_10.json", "output JSON path")
+	out := flag.String("out", "BENCH_12.json", "output JSON path")
 	seed := flag.Int64("seed", 1, "workload seed")
 	skipSweep := flag.Bool("skip-sweep", false, "skip the cached-vs-uncached sweep comparison")
 	skipCapture := flag.Bool("skip-capture", false, "skip the monolithic-vs-segmented capture comparison")
@@ -1069,7 +1116,7 @@ func main() {
 	}
 
 	rep := report{
-		Schema:  "mlpsim-bench/10",
+		Schema:  "mlpsim-bench/12",
 		Scale:   *scale,
 		Seed:    *seed,
 		Warmup:  s.Warmup,

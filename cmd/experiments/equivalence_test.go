@@ -121,13 +121,28 @@ func TestServerMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestServeSIGTERMExitsZero boots the real CLI in -serve mode, checks it
-// answers, sends SIGTERM and asserts a clean drain: "drained" in the
-// log and exit status 0.
+// TestServeSIGTERMExitsZero boots the real CLI in -serve mode, sends
+// SIGTERM and asserts a clean drain: "drained" in the log and exit
+// status 0. One case signals after the daemon has served an exhibit; the
+// other signals the moment /healthz first answers 200, which a daemon
+// that installed its signal handler only after it started serving would
+// not survive.
 func TestServeSIGTERMExitsZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a daemon subprocess")
 	}
+	for _, tc := range []struct {
+		name    string
+		exhibit bool
+	}{
+		{"after-exhibit", true},
+		{"right-after-first-healthz", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { serveAndTerminate(t, tc.exhibit) })
+	}
+}
+
+func serveAndTerminate(t *testing.T, fetchExhibit bool) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatalf("os.Executable: %v", err)
@@ -183,14 +198,16 @@ wait:
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
 		t.Fatalf("healthz = %d %q, want 200 ok", resp.StatusCode, body)
 	}
-	resp, err = http.Get(base + "/v1/exhibits/table5?format=csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("exhibit request = %d, want 200", resp.StatusCode)
+	if fetchExhibit {
+		resp, err = http.Get(base + "/v1/exhibits/table5?format=csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("exhibit request = %d, want 200", resp.StatusCode)
+		}
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

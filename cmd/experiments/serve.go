@@ -22,6 +22,11 @@ import (
 // on the fleet's hash ring are fetched from their owners.
 func serve(addr string, setup experiments.Setup, drainTimeout time.Duration, peerID string, fleet []server.Peer) error {
 	srv := server.New(server.Options{Setup: setup, PeerID: peerID, Peers: fleet})
+	// The handler goes in before the listener opens: a SIGTERM that
+	// arrives as soon as /healthz first answers must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -39,8 +44,6 @@ func serve(addr string, setup experiments.Setup, drainTimeout time.Duration, pee
 		}
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errc:
 		return err

@@ -168,6 +168,11 @@ func (a *Annotator) Next() (Inst, bool) {
 	return out, ok
 }
 
+// NextInto annotates the next instruction directly into *dst,
+// overwriting every field; it is the in-place variant of Next that the
+// engines' fetch paths detect and prefer.
+func (a *Annotator) NextInto(dst *Inst) bool { return a.annotateOne(dst) }
+
 // AnnotateInto fills dst with the next annotated instructions, writing
 // them in place, and returns the count delivered (short only at stream
 // end). Batch consumers like the columnar capture use it to pull blocks

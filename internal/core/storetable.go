@@ -26,19 +26,23 @@ const (
 // StoreTable is the open-addressed last-store map. The zero value is not
 // usable; call NewStoreTable.
 type StoreTable struct {
-	// keys holds key+1 so the zero value means an empty slot. Keys are
-	// EA>>3, so key+1 cannot wrap.
-	keys []uint64
-	vals []int64
-	used int
+	// slots interleaves each key with its value, so a probe that hits
+	// touches one cache line, not one per column: the table is far larger
+	// than the caches, and every load's lookup lands on a random slot.
+	slots []storeEntry
+	used  int
+}
+
+// storeEntry holds key+1 so the zero value means an empty slot. Keys are
+// EA>>3, so key+1 cannot wrap.
+type storeEntry struct {
+	key uint64
+	val int64
 }
 
 // NewStoreTable returns an empty table.
 func NewStoreTable() *StoreTable {
-	return &StoreTable{
-		keys: make([]uint64, storeTableSize),
-		vals: make([]int64, storeTableSize),
-	}
+	return &StoreTable{slots: make([]storeEntry, storeTableSize)}
 }
 
 // storeSlot is a Fibonacci hash: store addresses are heavily strided, and
@@ -51,9 +55,9 @@ func storeSlot(key uint64) uint64 {
 func (t *StoreTable) Get(key uint64) (int64, bool) {
 	k := key + 1
 	for i := storeSlot(key); ; i = (i + 1) & storeTableMask {
-		switch t.keys[i] {
+		switch e := &t.slots[i]; e.key {
 		case k:
-			return t.vals[i], true
+			return e.val, true
 		case 0:
 			return 0, false
 		}
@@ -66,13 +70,12 @@ func (t *StoreTable) Get(key uint64) (int64, bool) {
 func (t *StoreTable) Put(key uint64, val int64) {
 	k := key + 1
 	for i := storeSlot(key); ; i = (i + 1) & storeTableMask {
-		switch t.keys[i] {
+		switch e := &t.slots[i]; e.key {
 		case k:
-			t.vals[i] = val
+			e.val = val
 			return
 		case 0:
-			t.keys[i] = k
-			t.vals[i] = val
+			e.key, e.val = k, val
 			t.used++
 			if t.used > storeTableClear {
 				t.clear()
@@ -83,9 +86,7 @@ func (t *StoreTable) Put(key uint64, val int64) {
 }
 
 func (t *StoreTable) clear() {
-	for i := range t.keys {
-		t.keys[i] = 0
-	}
+	clear(t.slots)
 	t.used = 0
 }
 

@@ -24,6 +24,15 @@ func (s *aiSource) Next() (annotate.Inst, bool) {
 	return in, true
 }
 
+func (s *aiSource) NextInto(dst *annotate.Inst) bool {
+	if s.pos >= len(s.insts) {
+		return false
+	}
+	*dst = s.insts[s.pos]
+	s.pos++
+	return true
+}
+
 func ld(dst, src1 isa.Reg, dmiss bool) annotate.Inst {
 	return annotate.Inst{
 		Inst:  isa.Inst{Class: isa.Load, Src1: src1, Src2: isa.NoReg, Dst: dst},
@@ -397,12 +406,18 @@ type countingAISource struct {
 }
 
 func (c *countingAISource) Next() (annotate.Inst, bool) {
-	in, ok := c.src.Next()
+	var in annotate.Inst
+	ok := c.NextInto(&in)
+	return in, ok
+}
+
+func (c *countingAISource) NextInto(in *annotate.Inst) bool {
+	ok := c.src.NextInto(in)
 	if ok && in.OffChip() {
 		*c.count++
 		if in.IMiss && (in.DMiss || in.PMiss) {
 			*c.count++
 		}
 	}
-	return in, ok
+	return ok
 }

@@ -244,8 +244,19 @@ func (s Setup) RunMLPsim(w workload.Config, cfg core.Config, acfg annotate.Confi
 // RunCycleSim generates, annotates and runs one cycle-simulator
 // configuration.
 func (s Setup) RunCycleSim(w workload.Config, cfg cyclesim.Config, acfg annotate.Config) cyclesim.Result {
-	cfg.MaxInstructions = s.Measure
-	return cyclesim.New(s.annotatedSource(w, acfg), cfg).Run()
+	return s.RunCycleSimGang(w, []cyclesim.Config{cfg}, acfg)[0]
+}
+
+// RunCycleSimGang runs several cycle-simulator configurations over one
+// annotated stream as a lock-step gang: the stream is decoded and bound
+// once for all of them.
+func (s Setup) RunCycleSimGang(w workload.Config, cfgs []cyclesim.Config, acfg annotate.Config) []cyclesim.Result {
+	run := make([]cyclesim.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.MaxInstructions = s.Measure
+		run[i] = cfg
+	}
+	return cyclesim.RunGang(s.annotatedSource(w, acfg), run)
 }
 
 // parallelism resolves the worker count.

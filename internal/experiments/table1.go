@@ -37,28 +37,28 @@ func (c Characterization) Params() cpi.Params {
 // simulator runs (realistic and perfect L2), deriving Overlap_CM from the
 // CPI equation exactly as §2.2 prescribes.
 func (s Setup) Characterize(w workload.Config, penalty int) Characterization {
-	var meas, perf cyclesim.Result
-	s.forEach(2, func(i int) {
-		cfg := cyclesim.Default(penalty)
-		cfg.PerfectL2 = i == 1
-		r := s.RunCycleSim(w, cfg, annotate.Config{})
-		if i == 1 {
-			perf = r
-		} else {
-			meas = r
-		}
-	})
+	c := s.characterize(w, cyclesim.Default(penalty))
+	c.CPIOnChip = c.CPIPerf * (1 - c.OverlapCM)
+	c.CPIOffChip = c.CPI - c.CPIOnChip
+	return c
+}
+
+// characterize runs cfg and its perfect-L2 twin as one gang over w's
+// stream and derives the CPI decomposition's parameters from the pair.
+func (s Setup) characterize(w workload.Config, cfg cyclesim.Config) Characterization {
+	perfect := cfg
+	perfect.PerfectL2 = true
+	res := s.RunCycleSimGang(w, []cyclesim.Config{cfg, perfect}, annotate.Config{})
+	meas, perf := res[0], res[1]
 	c := Characterization{
 		Workload:       w.Name,
-		Penalty:        penalty,
+		Penalty:        cfg.MissPenalty,
 		CPI:            meas.CPI(),
 		CPIPerf:        perf.CPI(),
 		MissRatePer100: meas.MissRatePer100(),
 		MLP:            meas.MLP,
 	}
-	c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, float64(penalty), c.MLP)
-	c.CPIOnChip = c.CPIPerf * (1 - c.OverlapCM)
-	c.CPIOffChip = c.CPI - c.CPIOnChip
+	c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, float64(cfg.MissPenalty), c.MLP)
 	return c
 }
 

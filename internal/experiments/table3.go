@@ -55,12 +55,15 @@ func RunTable3(s Setup) Table3 {
 		mres := s.RunMLPsim(j.w, core.Default().WithWindow(j.window).WithIssue(j.issue),
 			annotate.Config{})
 		row.MLPsim = mres.MLP()
-		for _, pen := range Table3Latencies {
-			cfg := cyclesim.Default(pen)
-			cfg.IssueWindow, cfg.ROB = j.window, j.window
-			cfg.Issue = j.issue
-			cres := s.RunCycleSim(j.w, cfg, annotate.Config{})
-			switch pen {
+		cfgs := make([]cyclesim.Config, len(Table3Latencies))
+		for k, pen := range Table3Latencies {
+			cfgs[k] = cyclesim.Default(pen)
+			cfgs[k].IssueWindow, cfgs[k].ROB = j.window, j.window
+			cfgs[k].Issue = j.issue
+		}
+		// The three latencies share one stream: one gang, one decode.
+		for k, cres := range s.RunCycleSimGang(j.w, cfgs, annotate.Config{}) {
+			switch Table3Latencies[k] {
 			case 200:
 				row.CycleSim200 = cres.MLP
 			case 500:

@@ -3,7 +3,6 @@ package experiments
 import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
-	"mlpsim/internal/cpi"
 	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/workload"
 )
@@ -77,28 +76,9 @@ func RunTable4(s Setup) Table4 {
 // characterizeConfig is Characterize with a non-default issue
 // configuration at the Table 4 penalty.
 func (s Setup) characterizeConfig(w workload.Config, ic core.IssueConfig) Characterization {
-	var meas, perf cyclesim.Result
-	s.forEach(2, func(i int) {
-		cfg := cyclesim.Default(Table4Penalty)
-		cfg.Issue = ic
-		cfg.PerfectL2 = i == 1
-		r := s.RunCycleSim(w, cfg, annotate.Config{})
-		if i == 1 {
-			perf = r
-		} else {
-			meas = r
-		}
-	})
-	c := Characterization{
-		Workload:       w.Name,
-		Penalty:        Table4Penalty,
-		CPI:            meas.CPI(),
-		CPIPerf:        perf.CPI(),
-		MissRatePer100: meas.MissRatePer100(),
-		MLP:            meas.MLP,
-	}
-	c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, Table4Penalty, c.MLP)
-	return c
+	cfg := cyclesim.Default(Table4Penalty)
+	cfg.Issue = ic
+	return s.characterize(w, cfg)
 }
 
 // String renders the comparison.
