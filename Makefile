@@ -97,7 +97,8 @@ profile-cyclesim:
 	rm -f mlpsim.test
 
 fuzz:
-	$(GO) test ./internal/trace -fuzz FuzzRoundTripV2 -fuzztime 30s
+	$(GO) test ./internal/trace -fuzz '^FuzzRoundTrip$$' -fuzztime 30s
+	$(GO) test ./internal/atrace -fuzz FuzzOpenColumnar -fuzztime 30s
 	$(GO) test ./internal/atrace -fuzz FuzzOpenSegmentManifest -fuzztime 30s
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
 

@@ -14,21 +14,17 @@ func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name       string
 		gang       int
-		segInsts   int64
-		segWorkers int
 		cacheBytes int64
 		wantMsg    string // empty = accepted
 	}{
 		{name: "all-zero"},
-		{name: "all-positive", gang: 4, segInsts: 100_000, segWorkers: 2, cacheBytes: 1 << 20},
+		{name: "all-positive", gang: 4, cacheBytes: 1 << 20},
 		{name: "negative-gang", gang: -3, wantMsg: "-gang -3"},
-		{name: "negative-seg-insts", segInsts: -1, wantMsg: "-trace-segment-insts -1"},
-		{name: "negative-workers", segWorkers: -2, wantMsg: "-trace-capture-workers -2"},
 		{name: "negative-cache-bytes", cacheBytes: -5, wantMsg: "-trace-cache-bytes -5"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.gang, c.segInsts, c.segWorkers, c.cacheBytes)
+			err := validateFlags(c.gang, c.cacheBytes)
 			if c.wantMsg == "" {
 				if err != nil {
 					t.Fatalf("rejected valid flags: %v", err)
@@ -110,8 +106,6 @@ func TestCLIRejectsNegativeFlags(t *testing.T) {
 	}
 	cases := []struct{ args, wantMsg string }{
 		{"-gang -3 -list", "-gang -3"},
-		{"-trace-segment-insts -1 -list", "-trace-segment-insts -1"},
-		{"-trace-capture-workers -2 -list", "-trace-capture-workers -2"},
 		{"-trace-cache-bytes -5 -list", "-trace-cache-bytes -5"},
 		{"-lease-ttl -1s -list", "-lease-ttl -1s"},
 		{"-peers a=http://h1:1,b=http://h2:2 -list", "-peers requires -peer-id"},

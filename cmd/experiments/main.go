@@ -46,14 +46,12 @@ func main() {
 		leaseTTL     = flag.Duration("lease-ttl", atrace.DefaultLeaseTTL, "cross-host build lease time-to-live for a shared -trace-cache-dir (active with -peer-id; a dead owner's lease is reclaimable after this long)")
 		cacheDir     = flag.String("trace-cache-dir", "", "spill annotated-trace cache entries to this directory (shared across invocations and processes)")
 		cacheBytes   = flag.Int64("trace-cache-bytes", 0, "byte cap for -trace-cache-dir; least-recently-used spills are evicted (0 = default cap)")
-		segInsts     = flag.Int64("trace-segment-insts", 0, "capture annotated traces as N-instruction segments built by parallel pipelines (0 = monolithic)")
-		segWorkers   = flag.Int("trace-capture-workers", 0, "parallel capture workers with -trace-segment-insts (0 = GOMAXPROCS)")
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*gang, *segInsts, *segWorkers, *cacheBytes); err != nil {
+	if err := validateFlags(*gang, *cacheBytes); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
@@ -117,9 +115,6 @@ func main() {
 			setup.Cache.SetLease(*peerID, *leaseTTL)
 		}
 	}
-	if *segInsts > 0 {
-		setup.Cache.SetSegments(*segInsts, *segWorkers)
-	}
 
 	if *serveAddr != "" {
 		if err := serve(*serveAddr, setup, *drainTimeout, *peerID, fleet); err != nil {
@@ -168,15 +163,9 @@ func main() {
 // validateFlags rejects negative numeric flag values with a clear error
 // instead of silently reinterpreting them (a negative -gang used to fall
 // through to the auto-size behaviour of 0).
-func validateFlags(gang int, segInsts int64, segWorkers int, cacheBytes int64) error {
+func validateFlags(gang int, cacheBytes int64) error {
 	if gang < 0 {
 		return fmt.Errorf("-gang %d: must be >= 0 (0 = auto, 1 = off, N = cap)", gang)
-	}
-	if segInsts < 0 {
-		return fmt.Errorf("-trace-segment-insts %d: must be >= 0 (0 = monolithic capture)", segInsts)
-	}
-	if segWorkers < 0 {
-		return fmt.Errorf("-trace-capture-workers %d: must be >= 0 (0 = GOMAXPROCS)", segWorkers)
 	}
 	if cacheBytes < 0 {
 		return fmt.Errorf("-trace-cache-bytes %d: must be >= 0 (0 = default cap)", cacheBytes)

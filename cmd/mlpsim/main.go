@@ -8,15 +8,13 @@
 //	mlpsim -workload jbb -window 64 -rob 256 -issue D
 //	mlpsim -workload database -issue D -runahead
 //	mlpsim -trace db.trc -issue E -window 2048
-//	mlpsim -trace db.atrc -issue D -runahead   # pre-annotated (v2) trace
-//	mlpsim -trace db.acol -issue D -runahead   # columnar trace, memory-mapped
-//	                                           # (monolithic MLPCOLS1 or a segmented
-//	                                           #  MLPCOLS2 manifest + .segNNNN files)
+//	mlpsim -trace db.acol -issue D -runahead   # annotated trace from tracegen -annotate
+//	                                           # (MLPCOLS2 manifest + .segNNNN files),
+//	                                           # memory-mapped
 //	mlpsim -workload web -inorder use
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -64,22 +62,14 @@ func main() {
 	// already happened at tracegen time, so the annotation flags (-l2,
 	// -iprefetch, -dprefetch, -vp as a predictor) have no effect and the
 	// engine starts at the trace's first instruction. Engine-level flags
-	// (-window, -issue, -runahead, -perf-* ...) apply as usual. Columnar
-	// (.acol-format) traces are memory-mapped rather than decoded, so the
-	// columns stay in the OS page cache instead of the Go heap.
+	// (-window, -issue, -runahead, -perf-* ...) apply as usual. Annotated
+	// traces are memory-mapped rather than decoded, so the columns stay in
+	// the OS page cache instead of the Go heap.
 	var engineSrc core.AnnotatedSource
 	var pre atrace.Trace
-	if *traceFile != "" {
+	if *traceFile != "" && !isRawTrace(*traceFile) {
 		var err error
-		switch {
-		case atrace.IsSegmentedFile(*traceFile):
-			pre, err = atrace.OpenSegmentedFile(*traceFile)
-		case atrace.IsColumnarFile(*traceFile):
-			pre, err = atrace.OpenColumnarFile(*traceFile)
-		case isAnnotatedTrace(*traceFile):
-			pre, err = atrace.ReadFile(*traceFile)
-		}
-		if err != nil {
+		if pre, err = atrace.OpenSpill(*traceFile); err != nil {
 			fmt.Fprintln(os.Stderr, "mlpsim:", err)
 			os.Exit(1)
 		}
@@ -196,19 +186,17 @@ func main() {
 	}
 }
 
-// isAnnotatedTrace reports whether path holds a version-2 (pre-annotated)
-// trace. Unreadable files return false and fail later with a real error.
-func isAnnotatedTrace(path string) bool {
+// isRawTrace reports whether path holds an unannotated binary trace;
+// anything else is opened as an annotated trace. Unreadable files return
+// false and fail later with a real error.
+func isRawTrace(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
 		return false
 	}
 	defer f.Close()
-	dec, err := trace.NewDecoder(bufio.NewReader(f))
-	if err != nil {
-		return false
-	}
-	return dec.Version() >= 2
+	_, err = trace.NewDecoder(f)
+	return err == nil
 }
 
 // openSource returns the instruction source: a decoded trace file or a

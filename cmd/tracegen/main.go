@@ -2,25 +2,24 @@
 // the binary trace format consumed by cmd/mlpsim.
 //
 // With -annotate it instead runs the functional annotation pass (cache
-// hierarchy + branch predictor) over the workload and writes a version-2
-// annotated trace: -warmup instructions train the annotator, then -n
-// post-warmup instructions are captured. cmd/mlpsim replays annotated
-// traces directly, skipping its own annotation and warm-up.
-//
-// With -columnar -segment N the capture is segmented: the window splits
-// into N-instruction segments built by -workers parallel pipelines
+// hierarchy + branch predictor) over the workload and writes an annotated
+// trace in the spill format of the trace cache: an MLPCOLS2 manifest at
+// the -o path plus one MLPCOLS1 segment file per capture worker beside
+// it ("<path>.seg0000", ...). -warmup instructions train the annotator,
+// then -n post-warmup instructions are captured. With -workers N the
+// window splits into N segments captured by parallel pipelines
 // (generation -> annotation -> columnar encoding per segment, exploiting
 // the seed-deterministic generator), each segment file published the
-// moment it completes and an MLPCOLS2 manifest written last. Replay can
-// open segment 0 while later segments are still being captured; the
-// result is bit-identical to a monolithic -columnar capture.
+// moment it completes and the manifest written last; the result is
+// bit-identical to a one-worker capture. cmd/mlpsim memory-maps annotated
+// traces and replays them directly, skipping its own annotation and
+// warm-up.
 //
 // Examples:
 //
 //	tracegen -workload database -n 10000000 -o db.trc
-//	tracegen -workload database -annotate -warmup 2000000 -n 8000000 -o db.atrc
-//	tracegen -workload database -annotate -columnar -n 8000000 -o db.acol
-//	tracegen -workload database -annotate -columnar -segment 1000000 -workers 4 -n 8000000 -o db.acol
+//	tracegen -workload database -annotate -warmup 2000000 -n 8000000 -o db.acol
+//	tracegen -workload database -annotate -workers 4 -n 8000000 -o db.acol
 package main
 
 import (
@@ -41,11 +40,9 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		n        = flag.Int64("n", 10_000_000, "instructions to generate (post-warmup when -annotate)")
 		out      = flag.String("o", "", "output file (required)")
-		annotful = flag.Bool("annotate", false, "write a pre-annotated (version 2) trace")
-		columnar = flag.Bool("columnar", false, "with -annotate: write the columnar (.acol) format, which cmd/mlpsim memory-maps instead of decoding")
+		annotful = flag.Bool("annotate", false, "write a pre-annotated trace (MLPCOLS2 manifest plus segment files)")
 		warmup   = flag.Int64("warmup", 2_000_000, "annotator warm-up instructions (only with -annotate)")
-		segment  = flag.Int64("segment", 0, "with -columnar: instructions per segment (0 = one monolithic file)")
-		workers  = flag.Int("workers", 0, "with -segment: parallel capture workers (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 1, "with -annotate: parallel capture workers, one segment each")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -74,37 +71,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *columnar && !*annotful {
-		fmt.Fprintln(os.Stderr, "tracegen: -columnar requires -annotate")
-		os.Exit(1)
-	}
-	if *segment > 0 && !*columnar {
-		fmt.Fprintln(os.Stderr, "tracegen: -segment requires -columnar")
-		os.Exit(1)
-	}
-	if *segment > 0 {
-		writeSegmented(cfg, *out, *warmup, *n, *segment, *workers)
-		return
-	}
 	if *annotful {
-		ann := annotate.New(workload.MustNew(cfg), annotate.Config{})
-		ann.Warm(*warmup)
-		st := atrace.Capture(ann, *n)
-		write := atrace.WriteFile
-		if *columnar {
-			write = atrace.WriteColumnarFile
-		}
-		if err := write(*out, st); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
+		if *workers < 1 {
+			fmt.Fprintln(os.Stderr, "tracegen: -workers must be >= 1")
 			os.Exit(1)
 		}
-		info, err := os.Stat(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d annotated instructions to %s (%d bytes, %.2f bytes/inst, warmup %d)\n",
-			st.Len(), *out, info.Size(), float64(info.Size())/float64(st.Len()), st.FirstIndex())
+		writeAnnotated(cfg, *out, *warmup, *n, *workers)
 		return
 	}
 
@@ -145,9 +117,10 @@ func main() {
 		enc.Count(), *out, info.Size(), float64(info.Size())/float64(enc.Count()))
 }
 
-// writeSegmented runs the pipelined parallel capture, printing each
-// segment as it is published so the time-to-first-replay win is visible.
-func writeSegmented(cfg workload.Config, out string, warmup, n, segment int64, workers int) {
+// writeAnnotated runs the pipelined capture, one segment per worker,
+// printing each segment as it is published so the time-to-first-replay
+// win is visible.
+func writeAnnotated(cfg workload.Config, out string, warmup, n int64, workers int) {
 	start := time.Now()
 	p := atrace.CaptureSegmentedToFile(out, atrace.SegSpec{
 		NewAnnotator: func() *annotate.Annotator {
@@ -155,7 +128,7 @@ func writeSegmented(cfg workload.Config, out string, warmup, n, segment int64, w
 		},
 		Warmup:       warmup,
 		Measure:      n,
-		SegmentInsts: segment,
+		SegmentInsts: (n + int64(workers) - 1) / int64(workers),
 		Workers:      workers,
 	})
 	for k := 0; k < p.Segments(); k++ {

@@ -1,7 +1,6 @@
 package atrace
 
 import (
-	"bytes"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -128,19 +127,17 @@ func TestReplaysAreIndependent(t *testing.T) {
 	}
 }
 
-// TestStreamRoundTrip: WriteStream/ReadStream preserve every column and
-// the stored statistics.
+// TestStreamRoundTrip: a stream written as an MLPCOLS1 body and read
+// back preserves every column and the stored statistics.
 func TestStreamRoundTrip(t *testing.T) {
 	w := workload.Presets(11)[2]
 	s := captureStream(t, w, annotate.Config{})
-	var buf bytes.Buffer
-	if err := WriteStream(&buf, s); err != nil {
-		t.Fatalf("WriteStream: %v", err)
+	path := filepath.Join(t.TempDir(), "s"+spillExt)
+	if err := WriteColumnarFile(path, s); err != nil {
+		t.Fatalf("WriteColumnarFile: %v", err)
 	}
-	got, err := ReadStream(&buf)
-	if err != nil {
-		t.Fatalf("ReadStream: %v", err)
-	}
+	got := openColumnarHeap(t, path)
+	got.mapped = nil
 	if !reflect.DeepEqual(s, got) {
 		t.Errorf("round-tripped stream differs")
 		if got.n != s.n || got.firstIndex != s.firstIndex || got.lineShift != s.lineShift {
@@ -154,7 +151,7 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.atrace")); err == nil {
+	if _, err := OpenSpill(filepath.Join(t.TempDir(), "nope"+spillExt)); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 }
@@ -220,16 +217,26 @@ func TestConfigKey(t *testing.T) {
 	}
 }
 
-// TestCacheSingleflight: concurrent Gets for one key run one build.
+// countingSpec is segCacheSpec with every annotator it hands out
+// counted, so a test can tell a build (or rebuild) from a cache hit.
+func countingSpec(w workload.Config, n *atomic.Int64) BuildSpec {
+	spec := segCacheSpec(w)
+	newAnnotator := spec.NewAnnotator
+	spec.NewAnnotator = func() *annotate.Annotator {
+		n.Add(1)
+		return newAnnotator()
+	}
+	return spec
+}
+
+// TestCacheSingleflight: concurrent GetTrace calls for one key run one
+// build, served in memory as a plain Stream.
 func TestCacheSingleflight(t *testing.T) {
 	w := workload.Presets(2)[0]
 	c := NewCache()
 	var builds atomic.Int64
 	key := Key{Workload: w, Annot: "test", Warmup: testWarmup, Measure: testMeasure}
-	build := func() *Stream {
-		builds.Add(1)
-		return captureStream(t, w, annotate.Config{})
-	}
+	spec := countingSpec(w, &builds)
 	const goroutines = 8
 	streams := make([]Trace, goroutines)
 	var wg sync.WaitGroup
@@ -237,7 +244,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			streams[i] = c.Get(key, build)
+			streams[i] = c.GetTrace(key, spec)
 		}(i)
 	}
 	wg.Wait()
@@ -249,6 +256,10 @@ func TestCacheSingleflight(t *testing.T) {
 			t.Errorf("goroutine %d got a different stream pointer", i)
 		}
 	}
+	if _, ok := streams[0].(*Stream); !ok {
+		t.Errorf("in-memory trace is %T, want *Stream", streams[0])
+	}
+	assertSameReplay(t, captureStream(t, w, annotate.Config{}), streams[0])
 	st := c.Stats()
 	if st.Builds != 1 || st.Hits+st.Misses != goroutines {
 		t.Errorf("stats %+v inconsistent with %d gets", st, goroutines)
@@ -259,18 +270,23 @@ func TestCacheSingleflight(t *testing.T) {
 // the key is retryable afterwards.
 func TestCacheBuildPanic(t *testing.T) {
 	c := NewCache()
-	key := Key{Annot: "panic"}
+	w := workload.Presets(2)[1]
+	key := Key{Workload: w, Annot: "panic", Warmup: testWarmup, Measure: testMeasure}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic to propagate")
 			}
 		}()
-		c.Get(key, func() *Stream { panic("boom") })
+		c.GetTrace(key, BuildSpec{
+			NewAnnotator: func() *annotate.Annotator { panic("boom") },
+			Warmup:       testWarmup,
+			Measure:      testMeasure,
+		})
 	}()
-	s := c.Get(key, func() *Stream { return &Stream{} })
-	if s == nil {
-		t.Fatal("retry after panic returned nil")
+	s := c.GetTrace(key, segCacheSpec(w))
+	if s == nil || s.Len() != testMeasure {
+		t.Fatalf("retry after panic returned %v", s)
 	}
 }
 
@@ -279,32 +295,39 @@ func TestCacheBuildPanic(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	c := NewCache()
 	w := workload.Presets(4)[0]
-	mk := func(i int) (Key, *Stream) {
+	mk := func(i int) (Key, BuildSpec) {
 		cfg := w
 		cfg.Seed = int64(i + 100)
-		a := annotate.New(workload.MustNew(cfg), annotate.Config{})
-		a.Warm(1000)
-		return Key{Workload: cfg, Annot: "e"}, Capture(a, 5000)
+		spec := BuildSpec{
+			NewAnnotator: func() *annotate.Annotator {
+				return annotate.New(workload.MustNew(cfg), annotate.Config{})
+			},
+			Warmup:  1000,
+			Measure: 5000,
+		}
+		return Key{Workload: cfg, Annot: "e", Warmup: 1000, Measure: 5000}, spec
 	}
-	k0, s0 := mk(0)
-	c.Get(k0, func() *Stream { return s0 })
-	c.SetCapBytes(s0.MemBytes() + s0.MemBytes()/2) // room for ~1.5 streams
-	k1, s1 := mk(1)
-	c.Get(k1, func() *Stream { return s1 })
+	k0, spec0 := mk(0)
+	s0 := c.GetTrace(k0, spec0)
+	c.capBytes = s0.MemBytes() + s0.MemBytes()/2 // room for ~1.5 streams
+	k1, spec1 := mk(1)
+	c.GetTrace(k1, spec1)
 	st := c.Stats()
 	if st.Streams != 1 {
 		t.Errorf("after eviction %d streams cached, want 1", st.Streams)
 	}
 	// k1 must have survived (most recent).
-	var rebuilt bool
-	c.Get(k1, func() *Stream { rebuilt = true; return s1 })
-	if rebuilt {
+	var rebuilds atomic.Int64
+	c.GetTrace(k1, countingSpec(w, &rebuilds))
+	if rebuilds.Load() != 0 {
 		t.Error("most-recently-used stream was evicted")
 	}
 }
 
 // TestCacheDiskSpill: a second cache instance sharing the directory loads
 // from disk instead of re-annotating, and the loaded stream is identical.
+// A window within one spill segment is served as a memory-mapped Stream
+// both by the builder and by the loader.
 func TestCacheDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(6)[0]
@@ -312,13 +335,13 @@ func TestCacheDiskSpill(t *testing.T) {
 
 	c1 := NewCache()
 	c1.SetDir(dir)
-	s1 := c1.Get(key, func() *Stream { return captureStream(t, w, annotate.Config{}) })
+	s1 := c1.GetTrace(key, segCacheSpec(w))
 
 	c2 := NewCache()
 	c2.SetDir(dir)
-	var rebuilt bool
-	s2 := c2.Get(key, func() *Stream { rebuilt = true; return nil })
-	if rebuilt {
+	var rebuilds atomic.Int64
+	s2 := c2.GetTrace(key, countingSpec(w, &rebuilds))
+	if rebuilds.Load() != 0 {
 		t.Fatal("second cache re-annotated despite disk spill")
 	}
 	if st := c2.Stats(); st.DiskHits != 1 {
@@ -326,5 +349,13 @@ func TestCacheDiskSpill(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s1, s2) {
 		t.Error("disk-loaded stream differs from built stream")
+	}
+	for name, tr := range map[string]Trace{"built": s1, "loaded": s2} {
+		if _, ok := tr.(*Stream); !ok || !tr.Mapped() {
+			t.Errorf("%s trace is %T (mapped=%v), want a memory-mapped *Stream", name, tr, tr.Mapped())
+		}
+	}
+	if !isSegmentedFile(filepath.Join(dir, keyHash(key)+spillExt)) {
+		t.Error("spill is not an MLPCOLS2 manifest")
 	}
 }

@@ -3,7 +3,6 @@ package atrace
 import (
 	"container/list"
 	"errors"
-	"os"
 	"sync"
 	"time"
 
@@ -18,23 +17,23 @@ import (
 const DefaultCapBytes = 8 << 30
 
 // Cache is a keyed store of annotated traces with single-flight build
-// deduplication: concurrent Get calls for the same key block on one build
-// instead of annotating in parallel. Eviction is LRU by approximate byte
-// footprint; evicted traces stay valid for replays already in flight
+// deduplication: concurrent GetTrace calls for the same key block on one
+// build instead of annotating in parallel. Eviction is LRU by approximate
+// byte footprint; evicted traces stay valid for replays already in flight
 // (they are immutable), the cache merely drops its reference.
 //
-// With Dir set, the directory becomes a cache shared across processes:
-// misses memory-map a columnar spill file when one exists (replay then
-// reads pages from the OS page cache rather than resident heap), and
-// builders coordinate through per-key file locks so N concurrent
+// Every miss is one segmented capture (CaptureSegmented) with its
+// geometry derived from where the trace goes. In memory it is a single
+// segment, served as its *Stream. With Dir set, the directory becomes a
+// cache shared across processes: a miss memory-maps the spill when one
+// exists (replay then reads pages from the OS page cache rather than
+// resident heap); otherwise it captures spillSegmentInsts-instruction
+// segments and publishes them as an MLPCOLS2 manifest plus per-segment
+// files. Builders coordinate through per-key file locks so N concurrent
 // processes perform exactly one annotation pass per key. Publication is
 // atomic (temp file + rename), corrupt or truncated spills are
 // quarantined and rebuilt, and an on-disk index drives byte-cap LRU
 // eviction of the directory. See diskCache for the layout and protocol.
-//
-// With SetSegments configured, GetTrace builds split the measured window
-// into fixed-size segments captured by parallel workers (see SegSpec)
-// and spill as an MLPCOLS2 manifest plus per-segment files.
 type Cache struct {
 	mu         sync.Mutex
 	capBytes   int64
@@ -42,8 +41,6 @@ type Cache struct {
 	disk       *diskCache
 	entries    map[Key]*entry
 	order      *list.List // front = most recently used
-	segInsts   int64
-	segWorkers int
 	leaseOwner string
 	leaseTTL   time.Duration
 
@@ -69,15 +66,6 @@ func NewCache() *Cache {
 		entries:  make(map[Key]*entry),
 		order:    list.New(),
 	}
-}
-
-// SetCapBytes adjusts the in-memory capacity (<= 0 means unbounded) and
-// evicts immediately if over the new capacity.
-func (c *Cache) SetCapBytes(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capBytes = n
-	c.evictLocked()
 }
 
 // SetDir enables the shared on-disk cache rooted at dir (created on
@@ -127,21 +115,10 @@ func (c *Cache) SetDiskCapBytes(n int64) {
 	}
 }
 
-// SetSegments configures segmented capture for GetTrace builds: the
-// measured window splits into segments of insts instructions captured by
-// up to workers parallel workers (0 = GOMAXPROCS). insts <= 0 restores
-// the monolithic single-pass capture.
-func (c *Cache) SetSegments(insts int64, workers int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.segInsts = insts
-	c.segWorkers = workers
-}
-
 // Stats reports cache effectiveness counters.
 type CacheStats struct {
-	Hits          uint64 // Get calls served from memory (or by joining a build)
-	Misses        uint64 // Get calls that had to build or load
+	Hits          uint64 // GetTrace calls served from memory (or by joining a build)
+	Misses        uint64 // GetTrace calls that had to build or load
 	Builds        uint64 // annotation passes actually executed
 	DiskHits      uint64 // misses served from the on-disk spill
 	Quarantined   uint64 // corrupt spill files moved aside
@@ -176,8 +153,8 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // BuildSpec tells the cache how to reconstruct the annotation pass for a
-// key, so segmented builds can run independent workers (each worker gets
-// its own fresh annotator and re-warms the prefix before its segments).
+// key, so a build (or the rebuild of evicted segments) can start a fresh
+// annotator and warm it over the prefix before the segments it captures.
 type BuildSpec struct {
 	// NewAnnotator returns a fresh, unwarmed annotator at instruction 0;
 	// it must be safe to call concurrently.
@@ -186,49 +163,12 @@ type BuildSpec struct {
 	Warmup, Measure int64
 }
 
-// capture is the monolithic build: warm once, drain the window.
-func (spec BuildSpec) capture() *Stream {
-	a := spec.NewAnnotator()
-	a.Warm(spec.Warmup)
-	return Capture(a, spec.Measure)
-}
-
-// Get returns the trace for key, building it with build() exactly once
+// GetTrace returns the trace for key, building it from spec exactly once
 // per key no matter how many goroutines ask concurrently — and, with a
 // cache directory set, exactly once across processes too. A panic in
-// build is propagated to every waiter and the entry is removed so a later
-// Get can retry.
-func (c *Cache) Get(key Key, build func() *Stream) Trace {
-	return c.get(key, func(disk *diskCache) (Trace, bool) {
-		return c.obtain(disk, key, func() Trace { return build() })
-	})
-}
-
-// GetTrace returns the trace for key, building it from spec on a miss
-// with the same single-flight guarantees as Get. When segmented capture
-// is configured (SetSegments), the build shards the window across
-// parallel workers and spills a segmented MLPCOLS2 trace.
+// the build is propagated to every waiter and the entry is removed so a
+// later GetTrace can retry.
 func (c *Cache) GetTrace(key Key, spec BuildSpec) Trace {
-	c.mu.Lock()
-	segInsts, segWorkers := c.segInsts, c.segWorkers
-	c.mu.Unlock()
-	segmented := segInsts > 0 && segInsts < spec.Measure
-	return c.get(key, func(disk *diskCache) (Trace, bool) {
-		if !segmented {
-			return c.obtain(disk, key, func() Trace { return spec.capture() })
-		}
-		return c.obtainSegmented(disk, key, SegSpec{
-			NewAnnotator: spec.NewAnnotator,
-			Warmup:       spec.Warmup,
-			Measure:      spec.Measure,
-			SegmentInsts: segInsts,
-			Workers:      segWorkers,
-		})
-	})
-}
-
-// get is the single-flight core shared by Get and GetTrace.
-func (c *Cache) get(key Key, obtain func(disk *diskCache) (Trace, bool)) Trace {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -261,7 +201,7 @@ func (c *Cache) get(key Key, obtain func(disk *diskCache) (Trace, bool)) Trace {
 				panic(pv)
 			}
 		}()
-		t, fromDisk = obtain(disk)
+		t, fromDisk = obtain(disk, key, spec)
 	}()
 
 	e.trace = t
@@ -280,12 +220,15 @@ func (c *Cache) get(key Key, obtain func(disk *diskCache) (Trace, bool)) Trace {
 	return t
 }
 
-// obtain resolves one cache miss with a monolithic build: disk load when
-// possible, otherwise a build coordinated through the per-key
-// cross-process lock.
-func (c *Cache) obtain(disk *diskCache, key Key, build func() Trace) (t Trace, fromDisk bool) {
+// obtain resolves one cache miss. Without a directory it captures the
+// window in memory as one segment. With one it loads the spill when
+// present; otherwise, under the per-key cross-process lock, it fills the
+// holes of a partly evicted spill or captures the whole window into a
+// fresh one, publishing each segment as it completes.
+func obtain(disk *diskCache, key Key, spec BuildSpec) (t Trace, fromDisk bool) {
+	seg := SegSpec{NewAnnotator: spec.NewAnnotator, Warmup: spec.Warmup, Measure: spec.Measure, Workers: 1}
 	if disk == nil {
-		return build(), false
+		return waitTrace(CaptureSegmented(seg)), false
 	}
 	hash := keyHash(key)
 	if loaded, err := disk.load(hash); err == nil {
@@ -294,60 +237,11 @@ func (c *Cache) obtain(disk *diskCache, key Key, build func() Trace) (t Trace, f
 	unlock, err := disk.lockKey(hash)
 	if err != nil {
 		// Lock machinery unavailable (read-only dir, ...): degrade to an
-		// uncoordinated local build.
-		return build(), false
+		// uncoordinated in-memory build.
+		return waitTrace(CaptureSegmented(seg)), false
 	}
 	defer unlock()
 	// Another process may have published while we waited for the lock.
-	loaded, lerr := disk.load(hash)
-	if lerr == nil {
-		return loaded, true
-	}
-	var see *SegmentsEvictedError
-	if errors.As(lerr, &see) {
-		// A partially-evicted segmented spill, but this caller builds
-		// monolithically (no SegSpec to rebuild holes from). Clear the
-		// segmented remains so the monolithic publish below does not
-		// leave orphan segment files shadowed by a same-named manifest.
-		disk.quarantine(hash)
-	}
-	t = build()
-	if s, ok := t.(*Stream); ok {
-		if path, err := disk.publish(hash, key, s); err == nil {
-			// Re-open the published spill memory-mapped so even the building
-			// process replays from the page cache and the heap copy can be
-			// collected. A failed re-open just keeps the heap stream.
-			if ms, merr := OpenColumnarFile(path); merr == nil {
-				t = ms
-			}
-		}
-	}
-	return t, false
-}
-
-// obtainSegmented resolves one cache miss with a pipelined segmented
-// build: segments are captured by parallel workers and published to the
-// spill directory as they complete, the manifest landing last.
-func (c *Cache) obtainSegmented(disk *diskCache, key Key, spec SegSpec) (Trace, bool) {
-	buildInMemory := func() Trace {
-		ss, err := CaptureSegmented(spec).Wait()
-		if err != nil {
-			panic(err)
-		}
-		return ss
-	}
-	if disk == nil {
-		return buildInMemory(), false
-	}
-	hash := keyHash(key)
-	if loaded, err := disk.load(hash); err == nil {
-		return loaded, true
-	}
-	unlock, err := disk.lockKey(hash)
-	if err != nil {
-		return buildInMemory(), false
-	}
-	defer unlock()
 	loaded, lerr := disk.load(hash)
 	if lerr == nil {
 		return loaded, true
@@ -363,20 +257,25 @@ func (c *Cache) obtainSegmented(disk *diskCache, key Key, spec SegSpec) (Trace, 
 		// disk trouble): fall back to a clean full rebuild.
 		disk.quarantine(hash)
 	}
-	if err := os.MkdirAll(disk.dir, 0o755); err != nil {
-		return buildInMemory(), false
-	}
-	p := CaptureSegmentedToFile(disk.spillPath(hash), spec)
-	ss, err := p.Wait()
-	if err != nil {
-		panic(err)
-	}
+	seg.SegmentInsts = disk.segInsts
+	p := CaptureSegmentedToFile(disk.spillPath(hash), seg)
+	t = waitTrace(p)
 	// A publish failure (disk full, ...) leaves no manifest behind; the
 	// heap-backed trace is still good, it just is not shared on disk.
 	if p.PublishErr() == nil {
 		disk.recordPublished(hash, key, disk.spillBytes(hash))
 	}
-	return ss, false
+	return t, false
+}
+
+// waitTrace waits for a capture and returns its trace, panicking on a
+// capture error so the single-flight build fails for every waiter.
+func waitTrace(p *PendingCapture) Trace {
+	ss, err := p.Wait()
+	if err != nil {
+		panic(err)
+	}
+	return ss.trace()
 }
 
 // evictLocked drops least-recently-used completed entries until the cache

@@ -60,13 +60,6 @@ func (spec SegSpec) segmentCount() (segInsts int64, k int) {
 	return segInsts, int((spec.Measure + segInsts - 1) / segInsts)
 }
 
-// capture runs the monolithic path: one fresh annotator, warmed, drained.
-func (spec SegSpec) capture() *Stream {
-	a := spec.NewAnnotator()
-	a.Warm(spec.Warmup)
-	return Capture(a, spec.Measure)
-}
-
 // PendingCapture is a segmented capture in flight. Consumers may stream
 // instructions (Source) or block per segment (Segment) while later
 // segments are still being built; Wait blocks until the whole window is
@@ -234,9 +227,6 @@ func (p *PendingCapture) finalize(spec SegSpec) {
 // Segments returns the number of segments the capture was split into.
 func (p *PendingCapture) Segments() int { return len(p.segN) }
 
-// SegmentInsts returns the nominal per-segment instruction count.
-func (p *PendingCapture) SegmentInsts() int64 { return p.segInsts }
-
 // Segment blocks until segment k is captured (and, for disk-backed
 // captures, published) and returns it.
 func (p *PendingCapture) Segment(k int) (*Stream, error) {
@@ -312,13 +302,13 @@ func (r *pendingReplay) NextInto(dst *annotate.Inst) bool {
 func CaptureSegmentedToFile(base string, spec SegSpec) *PendingCapture {
 	spec.publish = func(k int, s *Stream) (*Stream, error) {
 		dst := segmentPath(base, k)
-		_, err := writeAtomic(filepath.Dir(base), ".acol-tmp-*", dst, func(f *os.File) error {
+		_, err := writeAtomic(filepath.Dir(base), tmpPrefix+"*", dst, func(f *os.File) error {
 			return WriteColumnar(f, s)
 		})
 		if err != nil {
 			return nil, err
 		}
-		ms, err := OpenColumnarFile(dst)
+		ms, err := openColumnarFile(dst)
 		if err != nil {
 			// The published bytes are unreadable; treat as a publish
 			// failure but keep the heap copy for the caller.
@@ -335,7 +325,7 @@ func CaptureSegmentedToFile(base string, spec SegSpec) *PendingCapture {
 			}
 			segBytes[k] = fi.Size()
 		}
-		_, err := writeAtomic(filepath.Dir(base), ".acol-tmp-*", base, func(f *os.File) error {
+		_, err := writeAtomic(filepath.Dir(base), tmpPrefix+"*", base, func(f *os.File) error {
 			return writeManifest(f, ss, segBytes)
 		})
 		return err

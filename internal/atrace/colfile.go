@@ -28,7 +28,7 @@ import (
 //	32  8  int64  total file size (truncation check)
 //	40  4  uint32 CRC-32C (Castagnoli) of file[H:] (corruption check)
 //	44  4  uint32 meta blob length M
-//	48  M  meta blob (same uvarint encoding as the v2 trace header)
+//	48  M  meta blob (see meta.go)
 //	48+M   16 x (uint64 offset, uint64 length) section table
 //	H  ...  sections, each 8-byte aligned, zero padded between
 //
@@ -190,12 +190,12 @@ func WriteColumnarFile(path string, s *Stream) error {
 	return f.Close()
 }
 
-// OpenColumnarFile opens a columnar spill, validating its size, structure
+// openColumnarFile opens a columnar spill, validating its size, structure
 // and checksum. On unix the column sections are views over a read-only
 // memory mapping (released by a finalizer when the stream becomes
 // unreachable); elsewhere the file is read into the heap. Corruption or
 // truncation returns an error wrapping ErrCorruptSpill.
-func OpenColumnarFile(path string) (*Stream, error) {
+func openColumnarFile(path string) (*Stream, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -242,6 +242,9 @@ func readFileMapping(f *os.File, size int64) (*mapping, error) {
 
 // streamFromColumnar builds a Stream whose columns are views into data.
 func streamFromColumnar(data []byte) (*Stream, error) {
+	if len(data) < colHeaderMin {
+		return nil, corruptf("%d bytes, below minimum header", len(data))
+	}
 	if string(data[:8]) != colMagic {
 		return nil, corruptf("bad magic %q", data[:8])
 	}
@@ -280,7 +283,7 @@ func streamFromColumnar(data []byte) (*Stream, error) {
 	for i := 0; i < colSectionCnt; i++ {
 		off := int64(binary.LittleEndian.Uint64(data[tableOff+int64(i)*16:]))
 		length := int64(binary.LittleEndian.Uint64(data[tableOff+int64(i)*16+8:]))
-		if off != pos || length < 0 || off+length > fileSize {
+		if off != pos || length < 0 || length > fileSize-off {
 			return nil, corruptf("section %d out of bounds (off %d len %d)", i, off, length)
 		}
 		secs[i] = data[off : off+length : off+length]
@@ -326,19 +329,4 @@ func bitsetSection(b []byte) []uint64 {
 		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
-}
-
-// IsColumnarFile reports whether path starts with the columnar magic.
-// Unreadable files return false and fail later with a real error.
-func IsColumnarFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return false
-	}
-	return string(hdr[:]) == colMagic
 }

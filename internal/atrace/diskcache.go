@@ -18,6 +18,12 @@ import (
 // to gigabytes each, so the default holds a handful before evicting.
 const DefaultDiskCapBytes = 32 << 30
 
+// spillSegmentInsts is the segment size of spilled traces: large enough
+// that per-segment files and manifest records stay few, small enough
+// that a builder holds only one segment's columns on the heap before
+// publishing it and that partial eviction frees useful amounts.
+const spillSegmentInsts = 1 << 20
+
 const (
 	spillExt      = ".acol"
 	indexName     = "index.json"
@@ -79,9 +85,10 @@ func writeAtomic(dir, tmpPattern, dst string, write func(*os.File) error) (int64
 //
 // Layout of the directory:
 //
-//	<hash>.acol          spill (hash = sha256 of the canonical key): a
-//	                     monolithic MLPCOLS1 stream or an MLPCOLS2 manifest
-//	<hash>.acol.segNNNN  segment files of a segmented spill
+//	<hash>.acol          spill (hash = sha256 of the canonical key): an
+//	                     MLPCOLS2 manifest (older directories may still hold
+//	                     a single MLPCOLS1 body here, which loads the same)
+//	<hash>.acol.segNNNN  the manifest's segment files (MLPCOLS1 bodies)
 //	<hash>.lock          per-key build lock (flock); cross-process singleflight
 //	index.json           hash -> {key, bytes, last_used}; LRU eviction state
 //	index.lock           guards every index.json read-modify-write
@@ -92,8 +99,8 @@ func writeAtomic(dir, tmpPattern, dst string, write func(*os.File) error) (int64
 // process may have published while we waited), builds if still absent,
 // publishes via temp-file + rename (atomic on POSIX), then updates the
 // index and evicts over-capacity entries — all before releasing the key
-// lock. Segmented builds publish each segment file as it completes and
-// the manifest last, so cross-process visibility is still all-or-nothing.
+// lock. A build publishes each segment file as it completes and the
+// manifest last, so cross-process visibility is all-or-nothing.
 // Corrupt or truncated spills are renamed aside, never trusted.
 //
 // Lifecycle of litter: every publish also sweeps the directory (under the
@@ -105,6 +112,9 @@ func writeAtomic(dir, tmpPattern, dst string, write func(*os.File) error) (int64
 type diskCache struct {
 	dir      string
 	capBytes int64
+	// segInsts is the segment size of new spills (spillSegmentInsts); a
+	// field so tests can split small windows into several segments.
+	segInsts int64
 
 	// Sweep age bounds; fields so tests can force immediate reclamation.
 	tmpMaxAge     time.Duration
@@ -134,6 +144,7 @@ func newDiskCache(dir string) *diskCache {
 	return &diskCache{
 		dir:           dir,
 		capBytes:      DefaultDiskCapBytes,
+		segInsts:      spillSegmentInsts,
 		tmpMaxAge:     sweepTmpMaxAge,
 		corruptMaxAge: sweepCorruptMaxAge,
 		now:           time.Now,
@@ -150,8 +161,8 @@ func keyHash(key Key) string {
 
 func (d *diskCache) spillPath(hash string) string { return filepath.Join(d.dir, hash+spillExt) }
 
-// spillFiles lists the files making up one key's spill: the manifest (or
-// monolithic spill) plus any segment files.
+// spillFiles lists the files making up one key's spill: the manifest
+// plus any segment files.
 func (d *diskCache) spillFiles(hash string) []string {
 	base := d.spillPath(hash)
 	files := []string{base}
@@ -234,24 +245,6 @@ func (d *diskCache) quarantine(hash string) {
 		d.quarantined.Add(1)
 	}
 	d.withIndex(func(idx *indexFile) { delete(idx.Entries, hash) })
-}
-
-// publish atomically installs a freshly built monolithic stream as the
-// spill for key and records it in the index, evicting over-capacity
-// entries.
-func (d *diskCache) publish(hash string, key Key, s *Stream) (string, error) {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return "", err
-	}
-	path := d.spillPath(hash)
-	size, err := writeAtomic(d.dir, tmpPrefix+"*", path, func(f *os.File) error {
-		return WriteColumnar(f, s)
-	})
-	if err != nil {
-		return "", err
-	}
-	d.recordPublished(hash, key, size)
-	return path, nil
 }
 
 // recordPublished indexes a just-published spill, sweeps directory

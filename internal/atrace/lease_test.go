@@ -143,7 +143,7 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 
 	cA := NewCache()
 	cA.SetDir(dir)
-	cA.SetSegments(testMeasure/3, 1)
+	cA.disk.segInsts = testMeasure / 3
 	cA.SetLease("a", 100*time.Millisecond)
 	unlockA, err := cA.disk.lockKey(hash) // A claims and stalls mid-build
 	if err != nil {
@@ -152,7 +152,7 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 
 	cB := NewCache()
 	cB.SetDir(dir)
-	cB.SetSegments(testMeasure/3, 1)
+	cB.disk.segInsts = testMeasure / 3
 	cB.SetLease("b", 100*time.Millisecond)
 	cB.disk.leasePoll = time.Millisecond
 	cB.disk.now = func() time.Time { return time.Now().Add(10 * time.Minute) } // fast clock
@@ -229,7 +229,7 @@ func TestLeaseBuildHelper(t *testing.T) {
 	}
 	c := NewCache()
 	c.SetDir(dir)
-	c.SetSegments(testMeasure/3, 1)
+	c.disk.segInsts = testMeasure / 3
 	c.SetLease(os.Getenv(leaseHelperEnvOwner), time.Second)
 	key, w := leaseHelperKey()
 	s := c.GetTrace(key, BuildSpec{

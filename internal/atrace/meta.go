@@ -3,21 +3,15 @@ package atrace
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/prefetch"
-	"mlpsim/internal/trace"
-	"mlpsim/internal/vpred"
 )
 
-func vpredOutcome(v uint8) vpred.Outcome { return vpred.Outcome(v) }
-
-// On-disk form: a version-2 trace (see internal/trace) whose header meta
-// blob carries the stream geometry and the captured-window statistics,
-// and whose per-record annotation byte carries the event flags.
-
+// The meta blob carries a stream's geometry and captured-window
+// statistics, uvarint-encoded, in every MLPCOLS1 header and MLPCOLS2
+// manifest.
+//
 // Meta blob versions: v1 carries geometry + annotator stats (16 uvarint
 // fields); v2 appends the hardware-prefetcher statistics captured with
 // the stream (6 more fields). Writers emit v2; readers accept both.
@@ -130,119 +124,4 @@ func decodeMeta(b []byte) (metaInfo, error) {
 		m.dpfStats = prefetch.Stats{Issued: vals[20], Useful: vals[21]}
 	}
 	return m, nil
-}
-
-func annotFlagsOf(in annotate.Inst) trace.AnnotFlags {
-	var af trace.AnnotFlags
-	if in.DMiss {
-		af |= trace.AnnotDMiss
-	}
-	if in.PMiss {
-		af |= trace.AnnotPMiss
-	}
-	if in.IMiss {
-		af |= trace.AnnotIMiss
-	}
-	if in.SMiss {
-		af |= trace.AnnotSMiss
-	}
-	if in.Mispred {
-		af |= trace.AnnotMispred
-	}
-	return af.WithVPOutcome(uint8(in.VPOutcome))
-}
-
-// WriteStream writes the stream to w in the v2 annotated trace format.
-func WriteStream(w io.Writer, s *Stream) error {
-	enc, err := trace.NewEncoderV2(w, uint64(s.n), encodeMeta(s))
-	if err != nil {
-		return err
-	}
-	r := s.Replay()
-	for {
-		in, ok := r.Next()
-		if !ok {
-			break
-		}
-		if err := enc.EncodeAnnotated(in.Inst, annotFlagsOf(in)); err != nil {
-			return err
-		}
-	}
-	return enc.Flush()
-}
-
-// ReadStream rebuilds a Stream from a v2 annotated trace produced by
-// WriteStream (or by cmd/tracegen -annotate).
-func ReadStream(r io.Reader) (*Stream, error) {
-	dec, err := trace.NewDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	return ReadStreamFrom(dec)
-}
-
-// ReadStreamFrom rebuilds a Stream from an already-opened v2 decoder.
-func ReadStreamFrom(dec *trace.Decoder) (*Stream, error) {
-	if dec.Version() < 2 {
-		return nil, fmt.Errorf("atrace: trace is not annotated (version %d)", dec.Version())
-	}
-	meta, err := decodeMeta(dec.Meta())
-	if err != nil {
-		return nil, err
-	}
-	b := NewBuilder(meta.lineShift, meta.n)
-	idx := meta.firstIndex
-	for {
-		raw, af, err := dec.DecodeAnnotated()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		in := annotate.Inst{
-			Inst:      raw,
-			Index:     idx,
-			DMiss:     af&trace.AnnotDMiss != 0,
-			PMiss:     af&trace.AnnotPMiss != 0,
-			IMiss:     af&trace.AnnotIMiss != 0,
-			SMiss:     af&trace.AnnotSMiss != 0,
-			Mispred:   af&trace.AnnotMispred != 0,
-			VPOutcome: vpredOutcome(af.VPOutcome()),
-		}
-		idx++
-		b.Append(in)
-	}
-	s := b.Finish(meta.stats)
-	meta.apply(s)
-	if s.n != meta.n {
-		return nil, fmt.Errorf("atrace: trace holds %d records, meta promised %d", s.n, meta.n)
-	}
-	if s.n == 0 {
-		s.firstIndex = meta.firstIndex
-	}
-	return s, nil
-}
-
-// WriteFile writes the stream to path in the v2 annotated trace format.
-func WriteFile(path string, s *Stream) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteStream(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadFile loads a stream previously written with WriteFile.
-func ReadFile(path string) (*Stream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadStream(f)
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mlpsim/internal/annotate"
@@ -26,7 +27,7 @@ func helperKey() (Key, workload.Config) {
 }
 
 // TestDiskCacheHelper is the subprocess body: it opens the shared
-// directory, performs one Get, and reports how many annotation passes it
+// directory, performs one GetTrace, and reports how many annotation passes it
 // ran on stdout. It skips itself under normal `go test` invocations.
 func TestDiskCacheHelper(t *testing.T) {
 	dir := os.Getenv(helperEnvDir)
@@ -36,7 +37,7 @@ func TestDiskCacheHelper(t *testing.T) {
 	c := NewCache()
 	c.SetDir(dir)
 	key, w := helperKey()
-	s := c.Get(key, func() *Stream { return captureStream(t, w, annotate.Config{}) })
+	s := c.GetTrace(key, segCacheSpec(w))
 	if s.Len() != testMeasure {
 		t.Fatalf("stream length %d, want %d", s.Len(), testMeasure)
 	}
@@ -87,7 +88,7 @@ func TestCrossProcessSingleflight(t *testing.T) {
 		t.Errorf("%d processes performed %d annotation passes in total, want exactly 1", procs, totalBuilds)
 	}
 
-	key, _ := helperKey()
+	key, w := helperKey()
 	if _, err := os.Stat(filepath.Join(dir, keyHash(key)+spillExt)); err != nil {
 		t.Errorf("shared spill missing after the race: %v", err)
 	}
@@ -95,9 +96,9 @@ func TestCrossProcessSingleflight(t *testing.T) {
 	// portable fallback unlinks), so a fresh process can still build.
 	c := NewCache()
 	c.SetDir(dir)
-	var rebuilt bool
-	c.Get(key, func() *Stream { rebuilt = true; return nil })
-	if rebuilt {
+	var rebuilds atomic.Int64
+	c.GetTrace(key, countingSpec(w, &rebuilds))
+	if rebuilds.Load() != 0 {
 		t.Error("published spill not readable by a later process")
 	}
 }
@@ -129,7 +130,7 @@ func TestSegmentedBuildHelper(t *testing.T) {
 	}
 	c := NewCache()
 	c.SetDir(dir)
-	c.SetSegments(testMeasure/3, 1)
+	c.disk.segInsts = testMeasure / 3
 	key, w := helperKey()
 	s := c.GetTrace(key, BuildSpec{
 		NewAnnotator: func() *annotate.Annotator {

@@ -140,7 +140,7 @@ func (d *diskCache) evictedHole(path string) ([]int, bool) {
 // Returns the bytes actually freed.
 func (d *diskCache) evictSegments(idx *indexFile, h string, want int64) int64 {
 	base := d.spillPath(h)
-	if !IsSegmentedFile(base) {
+	if !isSegmentedFile(base) {
 		return 0
 	}
 	data, err := os.ReadFile(base)
@@ -193,15 +193,15 @@ func (d *diskCache) evictSegments(idx *indexFile, h string, want int64) int64 {
 // rebuildSegments re-captures exactly the missing segments of hash's
 // spill in place, then strictly re-opens and revalidates the whole key.
 // The manifest is the authority for geometry (segment sizes may predate
-// the current SetSegments configuration), and the rebuilt bytes must
-// match its recorded per-segment sizes exactly — determinism is what
-// makes holes cheap, and a size mismatch means spec no longer describes
-// the spill (caller quarantines and rebuilds fully). Contiguous runs of
+// the current segment size), and the rebuilt bytes must match its
+// recorded per-segment sizes exactly — determinism is what makes holes
+// cheap, and a size mismatch means spec no longer describes the spill
+// (caller quarantines and rebuilds fully). Contiguous runs of
 // holes share one annotator: warm over the prefix once, then capture
 // segment after segment with a stats reset at each boundary, exactly
 // like a capture worker — so rebuilt segments are bit-identical to the
 // originals.
-func (d *diskCache) rebuildSegments(hash string, key Key, spec SegSpec, missing []int) (Trace, error) {
+func (d *diskCache) rebuildSegments(hash string, key Key, spec BuildSpec, missing []int) (Trace, error) {
 	base := d.spillPath(hash)
 	data, err := os.ReadFile(base)
 	if err != nil {

@@ -35,7 +35,7 @@ func TestPartialEvictionRebuildsOnlyMissing(t *testing.T) {
 	newSegCache := func() *Cache {
 		c := NewCache()
 		c.SetDir(dir)
-		c.SetSegments(testMeasure/4, 2) // 4 segments
+		c.disk.segInsts = testMeasure / 4 // 4 segments
 		return c
 	}
 
@@ -51,7 +51,7 @@ func TestPartialEvictionRebuildsOnlyMissing(t *testing.T) {
 		}
 		origSeg[k] = data
 	}
-	callsFullBuild := factoryCalls.Load() // 2 capture workers
+	callsFullBuild := factoryCalls.Load() // one capture worker
 
 	// Trim exactly the last two segments off the tail.
 	want := int64(len(origSeg[2]) + len(origSeg[3]))
@@ -126,7 +126,7 @@ func TestPartialEvictionRebuildsOnlyMissing(t *testing.T) {
 	if st := c3.Stats(); st.DiskHits != 1 || st.Builds != 0 {
 		t.Errorf("DiskHits=%d Builds=%d after repair, want pure disk hit", st.DiskHits, st.Builds)
 	}
-	if callsFullBuild < 2 {
-		t.Errorf("full build used %d annotators, expected at least the 2 capture workers", callsFullBuild)
+	if callsFullBuild != 1 {
+		t.Errorf("full build used %d annotators, want 1 (one warm pass for all four segments)", callsFullBuild)
 	}
 }

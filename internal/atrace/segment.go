@@ -182,11 +182,14 @@ func (ss *SegStream) Mapped() bool {
 // Segments returns the number of segments.
 func (ss *SegStream) Segments() int { return len(ss.segs) }
 
-// Segment returns segment k.
-func (ss *SegStream) Segment(k int) *Stream { return ss.segs[k] }
-
-// SegmentInsts returns the nominal per-segment instruction count.
-func (ss *SegStream) SegmentInsts() int64 { return ss.segInsts }
+// trace returns the lone segment of a one-segment trace, whose Stream
+// carries the same geometry and statistics, and ss itself otherwise.
+func (ss *SegStream) trace() Trace {
+	if len(ss.segs) == 1 {
+		return ss.segs[0]
+	}
+	return ss
+}
 
 // Source returns a fresh cursor chaining the segments in order.
 func (ss *SegStream) Source() Source { return &SegReplay{segs: ss.segs} }
@@ -318,8 +321,8 @@ func parseManifest(data []byte) (*segManifest, error) {
 	return m, nil
 }
 
-// IsSegmentedFile reports whether path starts with the MLPCOLS2 magic.
-func IsSegmentedFile(path string) bool {
+// isSegmentedFile reports whether path starts with the MLPCOLS2 magic.
+func isSegmentedFile(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
 		return false
@@ -332,14 +335,14 @@ func IsSegmentedFile(path string) bool {
 	return string(hdr[:]) == segMagic
 }
 
-// OpenSegmentedFile opens the manifest at path and every segment file
+// openSegmentedFile opens the manifest at path and every segment file
 // beside it, validating the manifest checksum, each segment's own CRC,
 // and cross-checking the per-segment geometry and the aggregate
 // statistics against the manifest. Segments are memory-mapped like any
 // MLPCOLS1 spill. Any structural failure — including a missing segment
 // file — returns an error wrapping ErrCorruptSpill so the disk cache
 // quarantines the whole key and rebuilds.
-func OpenSegmentedFile(path string) (*SegStream, error) {
+func openSegmentedFile(path string) (*SegStream, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -351,7 +354,7 @@ func OpenSegmentedFile(path string) (*SegStream, error) {
 	segs := make([]*Stream, len(man.segN))
 	for k := range segs {
 		sp := segmentPath(path, k)
-		s, err := OpenColumnarFile(sp)
+		s, err := openColumnarFile(sp)
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil, fmt.Errorf("%s: %w", path, corruptf("segment %d missing (%s)", k, sp))
@@ -375,12 +378,17 @@ func OpenSegmentedFile(path string) (*SegStream, error) {
 	return ss, nil
 }
 
-// OpenSpill opens an on-disk annotated trace of either columnar format:
-// a segmented MLPCOLS2 manifest (plus its segment files) or a monolithic
-// MLPCOLS1 spill.
+// OpenSpill opens an on-disk annotated trace: an MLPCOLS2 manifest plus
+// its segment files, or a single MLPCOLS1 segment body. A one-segment
+// trace is returned as its *Stream, so replay takes the plain Stream
+// cursor.
 func OpenSpill(path string) (Trace, error) {
-	if IsSegmentedFile(path) {
-		return OpenSegmentedFile(path)
+	if !isSegmentedFile(path) {
+		return openColumnarFile(path)
 	}
-	return OpenColumnarFile(path)
+	ss, err := openSegmentedFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return ss.trace(), nil
 }

@@ -91,7 +91,7 @@ func TestSegmentedFileRoundTrip(t *testing.T) {
 	if !built.Mapped() {
 		t.Error("builder's own segments not memory-mapped after publication")
 	}
-	if !IsSegmentedFile(base) {
+	if !isSegmentedFile(base) {
 		t.Fatal("manifest not recognised as MLPCOLS2")
 	}
 	for k := 0; k < built.Segments(); k++ {
@@ -100,9 +100,9 @@ func TestSegmentedFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	ss, err := OpenSegmentedFile(base)
+	ss, err := openSegmentedFile(base)
 	if err != nil {
-		t.Fatalf("OpenSegmentedFile: %v", err)
+		t.Fatalf("openSegmentedFile: %v", err)
 	}
 	if !ss.Mapped() {
 		t.Error("reopened segments not memory-mapped")
@@ -162,7 +162,7 @@ func TestSegmentStreaming(t *testing.T) {
 	}
 }
 
-// segCacheSpec is the BuildSpec used by the segmented disk-cache tests.
+// segCacheSpec is the BuildSpec of the standard test window.
 func segCacheSpec(w workload.Config) BuildSpec {
 	return BuildSpec{
 		NewAnnotator: func() *annotate.Annotator {
@@ -173,8 +173,8 @@ func segCacheSpec(w workload.Config) BuildSpec {
 	}
 }
 
-// TestSegmentedDiskCache: a cache configured for segmented capture spills
-// an MLPCOLS2 trace; a second cache loads it from disk (no rebuild),
+// TestSegmentedDiskCache: a cache whose spills hold several segments
+// spills an MLPCOLS2 trace; a second cache loads it from disk (no rebuild),
 // memory-mapped and bit-identical; a corrupted segment quarantines the
 // whole key and a third cache rebuilds cleanly.
 func TestSegmentedDiskCache(t *testing.T) {
@@ -185,20 +185,20 @@ func TestSegmentedDiskCache(t *testing.T) {
 
 	c1 := NewCache()
 	c1.SetDir(dir)
-	c1.SetSegments(50_000, 2)
+	c1.disk.segInsts = 50_000
 	t1 := c1.GetTrace(key, segCacheSpec(w))
 	if st := c1.Stats(); st.Builds != 1 {
 		t.Fatalf("first cache: %d builds, want 1", st.Builds)
 	}
 	manifest := filepath.Join(dir, keyHash(key)+spillExt)
-	if !IsSegmentedFile(manifest) {
+	if !isSegmentedFile(manifest) {
 		t.Fatal("spill is not a segmented manifest")
 	}
 	assertSameReplay(t, mono, t1)
 
 	c2 := NewCache()
 	c2.SetDir(dir)
-	c2.SetSegments(50_000, 2)
+	c2.disk.segInsts = 50_000
 	t2 := c2.GetTrace(key, segCacheSpec(w))
 	if st := c2.Stats(); st.DiskHits != 1 || st.Builds != 0 {
 		t.Fatalf("second cache stats %+v, want 1 disk hit and 0 builds", st)
@@ -221,7 +221,7 @@ func TestSegmentedDiskCache(t *testing.T) {
 	}
 	c3 := NewCache()
 	c3.SetDir(dir)
-	c3.SetSegments(50_000, 2)
+	c3.disk.segInsts = 50_000
 	t3 := c3.GetTrace(key, segCacheSpec(w))
 	if st := c3.Stats(); st.Quarantined != 1 || st.Builds != 1 {
 		t.Fatalf("third cache stats %+v, want 1 quarantine and 1 rebuild", st)
@@ -231,7 +231,7 @@ func TestSegmentedDiskCache(t *testing.T) {
 	if len(quarantined) < 2 {
 		t.Errorf("quarantine moved %d files aside, want manifest plus segments (%v)", len(quarantined), quarantined)
 	}
-	if !IsSegmentedFile(manifest) {
+	if !isSegmentedFile(manifest) {
 		t.Error("rebuild did not republish a segmented manifest")
 	}
 }
@@ -250,7 +250,7 @@ func TestSegmentedDiskEviction(t *testing.T) {
 
 	c := NewCache()
 	c.SetDir(dir)
-	c.SetSegments(50_000, 2)
+	c.disk.segInsts = 50_000
 	c.GetTrace(key1, segCacheSpec(w))
 	size := newDiskCache(dir).spillBytes(keyHash(key1))
 	if size <= 0 {
@@ -265,7 +265,7 @@ func TestSegmentedDiskEviction(t *testing.T) {
 	}
 	h1 := keyHash(key1)
 	manifest1 := filepath.Join(dir, h1+spillExt)
-	if !IsSegmentedFile(manifest1) {
+	if !isSegmentedFile(manifest1) {
 		t.Error("trimmed spill lost its manifest")
 	}
 	if _, err := os.Stat(segmentPath(manifest1, 0)); err != nil {

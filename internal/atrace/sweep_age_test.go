@@ -3,10 +3,10 @@ package atrace
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/workload"
 )
 
@@ -124,19 +124,18 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(8)[2]
 	key := Key{Workload: w, Annot: "requarantine", Warmup: testWarmup, Measure: testMeasure}
-	build := func() *Stream { return captureStream(t, w, annotate.Config{}) }
 
 	for round := 0; round < 2; round++ {
 		c := NewCache()
 		c.SetDir(dir)
-		c.Get(key, build)
+		c.GetTrace(key, segCacheSpec(w))
 		corruptOneSpill(t, dir)
 
 		c2 := NewCache()
 		c2.SetDir(dir)
-		rebuilt := false
-		c2.Get(key, func() *Stream { rebuilt = true; return build() })
-		if !rebuilt {
+		var builds atomic.Int64
+		c2.GetTrace(key, countingSpec(w, &builds))
+		if builds.Load() == 0 {
 			t.Fatalf("round %d: corrupted spill served instead of rebuilt", round)
 		}
 		if st := c2.Stats(); st.Quarantined != 1 {
@@ -144,10 +143,11 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 		}
 	}
 
-	// Two generations of the same key moved aside, under distinct names.
+	// Two generations of the same key (manifest plus segment each) moved
+	// aside, under distinct names.
 	moved, err := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*"))
-	if err != nil || len(moved) != 2 {
-		t.Fatalf("quarantine files %v (err %v), want exactly two", moved, err)
+	if err != nil || len(moved) != 4 {
+		t.Fatalf("quarantine files %v (err %v), want exactly four", moved, err)
 	}
 	var wantLitter int64
 	for _, p := range moved {
@@ -170,18 +170,15 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 	if len(spills) != 1 {
 		t.Fatalf("live spills %v, want exactly one", spills)
 	}
-	fi, err := os.Stat(spills[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := d.spillBytes(keyHash(key))
 	var indexed int64
 	d.withIndex(func(idx *indexFile) {
 		for _, e := range idx.Entries {
 			indexed += e.Bytes
 		}
 	})
-	if indexed != fi.Size() {
-		t.Errorf("index charges %d bytes, want %d (the live spill only)", indexed, fi.Size())
+	if indexed != live {
+		t.Errorf("index charges %d bytes, want %d (the live spill only)", indexed, live)
 	}
 
 	// A quarantine with nothing left to move (reader-race loser) is not

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"mlpsim/internal/annotate"
@@ -21,10 +25,64 @@ func replayStream(n int) *atrace.Stream {
 	return b.Finish(annotate.Stats{})
 }
 
+// moduleAllocs runs fn with every heap allocation profiled
+// (runtime.MemProfileRate = 1) and describes each allocation made
+// during fn by this module's code: a stack whose innermost mlpsim/ frame
+// is not this helper's own bookkeeping. Allocations the runtime makes on
+// its own behalf (background scavenger, timers) carry no mlpsim/ frame
+// and are ignored, so the check is exact without being flaky: a single
+// allocated byte in the engine fails it, a runtime timer does not.
+func moduleAllocs(fn func()) []string {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	runtime.GC()
+	before := allocsBySite()
+	fn()
+	runtime.GC() // publishes every allocation made by fn
+	var sites []string
+	for site, n := range allocsBySite() {
+		if n > before[site] {
+			sites = append(sites, fmt.Sprintf("%d alloc(s) at %s", n-before[site], site))
+		}
+	}
+	sort.Strings(sites)
+	return sites
+}
+
+// allocsBySite snapshots the cumulative allocation profile as object
+// counts keyed by stack (innermost first), keeping only stacks whose
+// innermost mlpsim/ frame is outside the two helpers here.
+func allocsBySite() map[string]int64 {
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	sites := make(map[string]int64)
+	for _, r := range recs[:n] {
+		var stack []string
+		owner := ""
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			stack = append(stack, f.Function)
+			if owner == "" && strings.HasPrefix(f.Function, "mlpsim/") {
+				owner = f.Function
+			}
+		}
+		if owner == "" || strings.HasSuffix(owner, ".moduleAllocs") || strings.HasSuffix(owner, ".allocsBySite") {
+			continue
+		}
+		sites[strings.Join(stack, " < ")] += r.AllocObjects
+	}
+	return sites
+}
+
 // TestEngineRunZeroAllocSteadyState asserts the satellite guarantee
 // behind BENCH_5: with the slot ring and pending buffer preallocated
-// from the Config window bounds, replay-driven Run is exactly 0 allocs
-// and 0 bytes per op in steady state — engine construction excluded.
+// from the Config window bounds, replay-driven Run allocates nothing in
+// steady state — engine construction excluded. The check counts every
+// allocation (moduleAllocs), not a per-op average that runtime
+// background bytes can push above zero.
 func TestEngineRunZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -45,17 +103,10 @@ func TestEngineRunZeroAllocSteadyState(t *testing.T) {
 		}(),
 	}
 	for _, cfg := range configs {
-		cfg := cfg
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := NewEngine(st.Replay(), cfg)
-				b.StartTimer()
-				e.Run()
-			}
-		})
-		if a, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp(); a != 0 || bytes != 0 {
-			t.Errorf("%s: Run = %d allocs/op, %d B/op; want exactly 0/0", cfg.Name(), a, bytes)
+		NewEngine(st.Replay(), cfg).Run() // warm any one-time state
+		e := NewEngine(st.Replay(), cfg)
+		if sites := moduleAllocs(func() { e.Run() }); len(sites) != 0 {
+			t.Errorf("%s: Run allocated:\n%s", cfg.Name(), strings.Join(sites, "\n"))
 		}
 	}
 }
@@ -88,17 +139,10 @@ func TestRunGangZeroAllocSteadyState(t *testing.T) {
 		},
 	}
 	for name, cfgs := range vectors {
-		cfgs := cfgs
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := NewGang(st.Replay(), cfgs)
-				b.StartTimer()
-				g.Run()
-			}
-		})
-		if a, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp(); a != 0 || bytes != 0 {
-			t.Errorf("%s: Gang.Run = %d allocs/op, %d B/op; want exactly 0/0", name, a, bytes)
+		NewGang(st.Replay(), cfgs).Run() // warm any one-time state
+		g := NewGang(st.Replay(), cfgs)
+		if sites := moduleAllocs(func() { g.Run() }); len(sites) != 0 {
+			t.Errorf("%s: Gang.Run allocated:\n%s", name, strings.Join(sites, "\n"))
 		}
 	}
 }

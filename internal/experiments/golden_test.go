@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlpsim/internal/annotate"
+	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
 	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/prefetch"
@@ -69,13 +70,17 @@ func TestCachedPathMatchesDirect(t *testing.T) {
 }
 
 // TestSegmentedCacheMatchesDirect re-runs the golden determinism check
-// with segmented parallel capture enabled: sharding the annotation pass
-// across workers and replaying across segment boundaries must stay
-// bit-identical to the direct annotate-per-run path.
+// through the disk-backed cache: the segmented capture published as an
+// MLPCOLS2 spill, then the same spill reloaded memory-mapped by a fresh
+// cache, must both stay bit-identical to the direct annotate-per-run
+// path.
 func TestSegmentedCacheMatchesDirect(t *testing.T) {
 	cached, direct := goldenSetups(1)
-	// 500k / 150k -> 4 segments (the last one short) built by 2 workers.
-	cached.Cache.SetSegments(150_000, 2)
+	dir := t.TempDir()
+	cached.Cache.SetDir(dir)
+	reloaded := cached
+	reloaded.Cache = atrace.NewCache()
+	reloaded.Cache.SetDir(dir)
 
 	cfgs := []core.Config{
 		core.Default(),
@@ -84,22 +89,27 @@ func TestSegmentedCacheMatchesDirect(t *testing.T) {
 	for _, w := range cached.Workloads {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			for _, cfg := range cfgs {
-				got := cached.RunMLPsim(w, cfg, annotate.Config{})
-				want := direct.RunMLPsim(w, cfg, annotate.Config{})
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("segmented cached result differs from direct\ncached: %+v\ndirect: %+v", got, want)
+			for _, s := range []Setup{cached, reloaded} {
+				for _, cfg := range cfgs {
+					got := s.RunMLPsim(w, cfg, annotate.Config{})
+					want := direct.RunMLPsim(w, cfg, annotate.Config{})
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("spilled cached result differs from direct\ncached: %+v\ndirect: %+v", got, want)
+					}
 				}
-			}
-			got := cached.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
-			want := direct.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("segmented cached cyclesim result differs from direct\ncached: %+v\ndirect: %+v", got, want)
+				got := s.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
+				want := direct.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("spilled cached cyclesim result differs from direct\ncached: %+v\ndirect: %+v", got, want)
+				}
 			}
 		})
 	}
 	if st := cached.Cache.Stats(); st.Builds != uint64(len(cached.Workloads)) {
-		t.Errorf("segmented cache performed %d builds for %d workloads", st.Builds, len(cached.Workloads))
+		t.Errorf("spilling cache performed %d builds for %d workloads", st.Builds, len(cached.Workloads))
+	}
+	if st := reloaded.Cache.Stats(); st.Builds != 0 || st.DiskHits != uint64(len(cached.Workloads)) {
+		t.Errorf("reloading cache stats %+v, want %d disk hits and no builds", st, len(cached.Workloads))
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package stats provides the small statistical toolkit the experiments
-// need: means, histograms, and the inter-miss-distance CDFs of Figure 2
-// (observed distribution vs the uniform/geometric reference).
+// need: means, confidence intervals, and the inter-miss-distance CDFs of
+// Figure 2 (observed distribution vs the uniform/geometric reference).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -30,59 +29,6 @@ func Ratio(num, den float64) float64 {
 	return num / den
 }
 
-// Histogram counts integer-valued observations in caller-defined buckets.
-type Histogram struct {
-	// bounds[i] is the inclusive upper bound of bucket i; a final implicit
-	// overflow bucket catches everything larger.
-	bounds []int64
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given ascending inclusive upper
-// bounds. It panics if bounds are empty or not strictly ascending.
-func NewHistogram(bounds []int64) *Histogram {
-	if len(bounds) == 0 {
-		panic("stats: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	b := make([]int64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x int64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return x <= h.bounds[i] })
-	h.counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Count returns the count in bucket i (len(bounds) is the overflow bucket).
-func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
-
-// Buckets returns the bucket upper bounds.
-func (h *Histogram) Buckets() []int64 { return h.bounds }
-
-// CDF returns, for each bound, the cumulative probability of an
-// observation at or below that bound.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.bounds))
-	var cum uint64
-	for i := range h.bounds {
-		cum += h.counts[i]
-		out[i] = Ratio(float64(cum), float64(h.total))
-	}
-	return out
-}
-
 // DistanceRecorder accumulates distances between consecutive events in an
 // instruction stream (the inter-miss distances of §2.3 / Figure 2).
 type DistanceRecorder struct {
@@ -100,9 +46,6 @@ func (d *DistanceRecorder) Observe(idx int64) {
 	d.last = idx
 	d.havePrev = true
 }
-
-// Distances returns the recorded inter-event distances.
-func (d *DistanceRecorder) Distances() []int64 { return d.distances }
 
 // MeanDistance returns the average inter-event distance, or 0 when fewer
 // than two events were observed.
@@ -166,9 +109,6 @@ func LogSpacedPoints(max int64) []int64 {
 	}
 	return pts
 }
-
-// Percent formats a fraction as a percentage string with one decimal.
-func Percent(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 
 // Summary holds moment statistics for a sample of measurements (used to
 // report multi-seed experiment stability).

@@ -50,22 +50,21 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 // Len returns the total number of instructions in the underlying slice.
 func (s *SliceSource) Len() int { return len(s.insts) }
 
-// FuncSource adapts a generator function into a Source.
-type FuncSource func() (isa.Inst, bool)
+// Limit wraps src so that at most n instructions are delivered.
+func Limit(src Source, n int64) Source { return &limited{src: src, left: n} }
+
+type limited struct {
+	src  Source
+	left int64
+}
 
 // Next implements Source.
-func (f FuncSource) Next() (isa.Inst, bool) { return f() }
-
-// Limit wraps src so that at most n instructions are delivered.
-func Limit(src Source, n int64) Source {
-	remaining := n
-	return FuncSource(func() (isa.Inst, bool) {
-		if remaining <= 0 {
-			return isa.Inst{}, false
-		}
-		remaining--
-		return src.Next()
-	})
+func (l *limited) Next() (isa.Inst, bool) {
+	if l.left <= 0 {
+		return isa.Inst{}, false
+	}
+	l.left--
+	return l.src.Next()
 }
 
 // Skip discards the next n instructions from src, returning the number
@@ -95,70 +94,6 @@ func Collect(src Source, max int64) []isa.Inst {
 		out = append(out, in)
 	}
 	return out
-}
-
-// ErrStop can be returned by a ForEach callback to halt iteration without
-// reporting an error to the caller.
-var ErrStop = errors.New("trace: stop iteration")
-
-// ForEach applies fn to every instruction in src. It stops early and
-// returns nil if fn returns ErrStop, or propagates any other error.
-func ForEach(src Source, fn func(isa.Inst) error) error {
-	for {
-		in, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if err := fn(in); err != nil {
-			if errors.Is(err, ErrStop) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// Tee returns a Source that forwards src while appending every delivered
-// instruction to sink. It is used by tools that simulate and record
-// simultaneously.
-func Tee(src Source, sink *[]isa.Inst) Source {
-	return FuncSource(func() (isa.Inst, bool) {
-		in, ok := src.Next()
-		if ok {
-			*sink = append(*sink, in)
-		}
-		return in, ok
-	})
-}
-
-// Concat returns a Source that yields all instructions of each source in
-// turn.
-func Concat(srcs ...Source) Source {
-	idx := 0
-	return FuncSource(func() (isa.Inst, bool) {
-		for idx < len(srcs) {
-			if in, ok := srcs[idx].Next(); ok {
-				return in, true
-			}
-			idx++
-		}
-		return isa.Inst{}, false
-	})
-}
-
-// CountingSource wraps a Source and counts delivered instructions.
-type CountingSource struct {
-	Src Source
-	N   int64
-}
-
-// Next implements Source.
-func (c *CountingSource) Next() (isa.Inst, bool) {
-	in, ok := c.Src.Next()
-	if ok {
-		c.N++
-	}
-	return in, ok
 }
 
 // ReaderSource adapts an io.Reader of the binary trace format into a

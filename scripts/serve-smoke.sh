@@ -6,7 +6,8 @@
 #   1. checks /healthz answers "ok",
 #   2. fetches one exhibit as CSV over HTTP,
 #   3. runs the same exhibit through the plain CLI with -csv,
-#   4. diffs the two byte-for-byte,
+#   4. diffs the two byte-for-byte, and checks every spill in the shared
+#      cache is an MLPCOLS2 manifest,
 #   5. sends SIGTERM and asserts the daemon drains and exits 0.
 #
 # Everything lives under a temp dir; the trace cache is shared between
@@ -84,6 +85,23 @@ if ! diff -u "$tmp/cli/$EXHIBIT.csv" "$tmp/server.csv"; then
     exit 1
 fi
 echo "serve-smoke: server and CLI CSV are byte-identical"
+
+# Every spill in the shared cache must be an MLPCOLS2 manifest (its
+# segment bodies sit beside it as *.acol.segNNNN).
+spills=0
+for f in "$tmp"/atrace/*.acol; do
+    [ -e "$f" ] || continue
+    spills=$((spills + 1))
+    if [ "$(head -c 8 "$f")" != "MLPCOLS2" ]; then
+        echo "serve-smoke: FAIL spill $f is not an MLPCOLS2 manifest" >&2
+        exit 1
+    fi
+done
+if [ "$spills" -eq 0 ]; then
+    echo "serve-smoke: FAIL no spills in the trace cache directory" >&2
+    exit 1
+fi
+echo "serve-smoke: all $spills spills are MLPCOLS2 manifests"
 
 echo "serve-smoke: sending SIGTERM"
 kill -TERM "$daemon_pid"
