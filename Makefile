@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCrossProcessSingleflight|TestCacheDiskSpill|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease|TestPartialEviction'
 	$(GO) test -race ./internal/server
-	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets'
+	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets|TestShard|TestRunExhibitShard'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'
 	$(GO) test -race ./internal/cyclesim -run 'TestRunGangMatchesReferenceRandom|TestCycleSimZeroAllocSteadyState'
 	$(GO) test -race ./internal/storeset
@@ -101,6 +101,8 @@ fuzz:
 	$(GO) test ./internal/atrace -fuzz FuzzOpenColumnar -fuzztime 30s
 	$(GO) test ./internal/atrace -fuzz FuzzOpenSegmentManifest -fuzztime 30s
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
+	$(GO) test ./internal/server -fuzz FuzzPeerReply -fuzztime 30s
+	$(GO) test ./internal/server -fuzz FuzzParsePoints -fuzztime 30s
 
 # serve-smoke boots the real daemon binary on an ephemeral port, diffs
 # one exhibit's CSV against the plain CLI's output and asserts a clean

@@ -9,9 +9,9 @@
 // disambiguation sweep (bracketing check plus dep-event totals), and the
 // ext-smtsched scheduled-SMT policy sweep (every policy's aggregate MLP
 // checked against its point's combined bounds), and a peer-mode shard
-// sweep — figure4 answered by a 3-replica in-process fleet through a
-// coordinator that owns none of the points, byte-compared against a
-// solo daemon — then writes a JSON report with ns/op, wall times, peak
+// sweep — figure4 and table3 answered by a 3-replica in-process fleet
+// through a coordinator that owns none of the points, byte-compared
+// against a solo daemon — then writes a JSON report with ns/op, wall times, peak
 // Go-heap occupancy and headline MLP metrics.
 //
 // With -compare and -gate-pct the command doubles as a regression gate:
@@ -156,10 +156,11 @@ type captureResult struct {
 	Identical               bool    `json:"bit_identical"`
 }
 
-// shardSweepResult records the peer-mode fleet comparison: an
-// in-process fleet of replicas plus a coordinator-only observer (on
-// nobody's hash ring, so it owns zero points) answers one exhibit over
-// HTTP, byte-compared in every format against a solo daemon.
+// shardSweepResult records the peer-mode fleet comparison for one
+// exhibit: an in-process fleet of replicas plus a coordinator-only
+// observer (on nobody's hash ring, so it owns zero points) answers the
+// exhibit over HTTP, byte-compared in every format against a solo
+// daemon.
 // Identical is the correctness invariant; the fetched/served totals
 // prove the observer's answer really was assembled from peer shards
 // rather than silent local fallback.
@@ -186,7 +187,7 @@ type report struct {
 	GangSweep  *gangSweepResult       `json:"gang_sweep,omitempty"`
 	StoreSets  *storeSetsResult       `json:"store_sets,omitempty"`
 	SMTSched   *smtSchedResult        `json:"smt_sched,omitempty"`
-	ShardSweep *shardSweepResult      `json:"shard_sweep,omitempty"`
+	ShardSweep []shardSweepResult     `json:"shard_sweeps,omitempty"`
 	MLP        map[string]float64     `json:"mlp"`
 }
 
@@ -720,17 +721,21 @@ func runSMTSched(s experiments.Setup, mlp map[string]float64) *smtSchedResult {
 	return res
 }
 
-// runShardSweep answers figure4 through a 3-replica in-process peer
-// fleet and byte-compares every response format against a solo daemon.
-// The request goes to a coordinator-only observer whose id is on
-// nobody's ring, so each point is fetched from the replica that owns
-// it — the strongest form of the fabric's invariant: a daemon owning
-// zero points still answers byte-identical to solo. Replica wall time
-// includes the HTTP hops and each executor re-deriving its shard's
-// points, so it is reported but never gated.
-func runShardSweep(s experiments.Setup) *shardSweepResult {
-	const exhibit, replicas = "figure4", 3
-	fmt.Fprintf(os.Stderr, "bench: running %s through a %d-replica peer fleet...\n", exhibit, replicas)
+// shardSweepExhibits are the shard sweep's exhibits: engine gangs
+// (figure4) and cycle-simulator gangs (table3).
+var shardSweepExhibits = []string{"figure4", "table3"}
+
+// runShardSweep answers each shardSweepExhibits entry through a
+// 3-replica in-process peer fleet and byte-compares every response
+// format against a solo daemon. The request goes to a coordinator-only
+// observer whose id is on nobody's ring, so each point is fetched from
+// the replica that owns it — the strongest form of the fabric's
+// invariant: a daemon owning zero points still answers byte-identical
+// to solo. Replica wall time includes the HTTP hops and each executor
+// planning the exhibit again, so it is reported but never gated.
+func runShardSweep(s experiments.Setup) []shardSweepResult {
+	const replicas = 3
+	fmt.Fprintf(os.Stderr, "bench: running %v through a %d-replica peer fleet...\n", shardSweepExhibits, replicas)
 
 	// Each daemon gets a private in-heap trace cache: fleet members
 	// share nothing but the wire protocol, exactly like separate hosts.
@@ -796,42 +801,53 @@ func runShardSweep(s experiments.Setup) *shardSweepResult {
 		return body, nil
 	}
 
-	res := &shardSweepResult{Exhibit: exhibit, Replicas: replicas, Identical: true}
-	for fi, format := range []string{"json", "csv", "text"} {
-		path := "/v1/exhibits/" + exhibit + "?format=" + format
-		start := time.Now()
-		want, err := get(soloHTTP.URL, path)
-		soloD := time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: shard sweep skipped: solo %v\n", err)
-			return nil
+	// The observer's and replicas' counters are cumulative, so each
+	// exhibit reports its own delta.
+	counters := func() (fetched, errs, served uint64) {
+		fetched = scrapeCounter(get, obsHTTP.URL, "mlpsim_peer_points_fetched_total")
+		errs = scrapeCounter(get, obsHTTP.URL, "mlpsim_peer_fetch_errors_total")
+		for _, ts := range https {
+			served += scrapeCounter(get, ts.URL, "mlpsim_peer_points_served_total")
 		}
-		start = time.Now()
-		got, err := get(obsHTTP.URL, path)
-		fleetD := time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: shard sweep skipped: fleet %v\n", err)
-			return nil
-		}
-		if !bytes.Equal(got, want) {
-			res.Identical = false
-		}
-		// Later formats re-render the result cache on both sides; only
-		// the first pair measures the actual sweeps.
-		if fi == 0 {
-			res.SoloSeconds = soloD.Seconds()
-			res.FleetSeconds = fleetD.Seconds()
-		}
+		return fetched, errs, served
 	}
-
-	res.PointsFetched = scrapeCounter(get, obsHTTP.URL, "mlpsim_peer_points_fetched_total")
-	res.FetchErrors = scrapeCounter(get, obsHTTP.URL, "mlpsim_peer_fetch_errors_total")
-	for _, ts := range https {
-		res.PointsServed += scrapeCounter(get, ts.URL, "mlpsim_peer_points_served_total")
+	var out []shardSweepResult
+	for _, exhibit := range shardSweepExhibits {
+		res := shardSweepResult{Exhibit: exhibit, Replicas: replicas, Identical: true}
+		fetched0, errs0, served0 := counters()
+		for fi, format := range []string{"json", "csv", "text"} {
+			path := "/v1/exhibits/" + exhibit + "?format=" + format
+			start := time.Now()
+			want, err := get(soloHTTP.URL, path)
+			soloD := time.Since(start)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "bench: shard sweep skipped: solo %v\n", err)
+				return nil
+			}
+			start = time.Now()
+			got, err := get(obsHTTP.URL, path)
+			fleetD := time.Since(start)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "bench: shard sweep skipped: fleet %v\n", err)
+				return nil
+			}
+			if !bytes.Equal(got, want) {
+				res.Identical = false
+			}
+			// Later formats re-render the result cache on both sides;
+			// only the first pair measures the actual sweeps.
+			if fi == 0 {
+				res.SoloSeconds = soloD.Seconds()
+				res.FleetSeconds = fleetD.Seconds()
+			}
+		}
+		fetched, errs, served := counters()
+		res.PointsFetched, res.FetchErrors, res.PointsServed = fetched-fetched0, errs-errs0, served-served0
+		fmt.Fprintf(os.Stderr, "bench: shard sweep %s: solo %.1fs, fleet %.1fs, %d points fetched (%d errors), %d served, identical: %v\n",
+			exhibit, res.SoloSeconds, res.FleetSeconds, res.PointsFetched, res.FetchErrors, res.PointsServed, res.Identical)
+		out = append(out, res)
 	}
-	fmt.Fprintf(os.Stderr, "bench: shard sweep: solo %.1fs, fleet %.1fs, %d points fetched (%d errors), %d served, identical: %v\n",
-		res.SoloSeconds, res.FleetSeconds, res.PointsFetched, res.FetchErrors, res.PointsServed, res.Identical)
-	return res
+	return out
 }
 
 // scrapeCounter reads one counter from a daemon's /metrics page;
@@ -964,8 +980,10 @@ func gateViolations(old, cur report, pct float64) []string {
 	}
 	// The shard fabric's invariant is exact: a fleet answer that is not
 	// byte-identical to solo is wrong no matter how fast it arrived.
-	if cur.ShardSweep != nil && !cur.ShardSweep.Identical {
-		out = append(out, "shard sweep: the peer fleet's answer differs from the solo daemon's")
+	for _, c := range cur.ShardSweep {
+		if !c.Identical {
+			out = append(out, "shard sweep: the peer fleet's "+c.Exhibit+" answer differs from the solo daemon's")
+		}
 	}
 	return out
 }
@@ -1054,15 +1072,19 @@ func printComparison(path string, old, cur report) {
 				c.Rows, c.Seconds, c.Switches, c.Overlapped, c.Bracketed, old.Schema)
 		}
 	}
-	if cur.ShardSweep != nil {
-		c := cur.ShardSweep
-		if old.ShardSweep != nil {
-			fmt.Printf("  shard sweep      %8.1f -> %8.1f s fleet, %d -> %d points fetched, identical: %v\n",
-				old.ShardSweep.FleetSeconds, c.FleetSeconds,
-				old.ShardSweep.PointsFetched, c.PointsFetched, c.Identical)
+	for _, c := range cur.ShardSweep {
+		var o *shardSweepResult
+		for i := range old.ShardSweep {
+			if old.ShardSweep[i].Exhibit == c.Exhibit {
+				o = &old.ShardSweep[i]
+			}
+		}
+		if o != nil {
+			fmt.Printf("  shard sweep %-8s %8.1f -> %8.1f s fleet, %d -> %d points fetched, identical: %v\n",
+				c.Exhibit, o.FleetSeconds, c.FleetSeconds, o.PointsFetched, c.PointsFetched, c.Identical)
 		} else {
-			fmt.Printf("  shard sweep      %8.1f s solo -> %.1f s via %d replicas, %d points fetched, identical: %v (no baseline in %s)\n",
-				c.SoloSeconds, c.FleetSeconds, c.Replicas, c.PointsFetched, c.Identical, old.Schema)
+			fmt.Printf("  shard sweep %-8s %8.1f s solo -> %.1f s via %d replicas, %d points fetched, identical: %v (no baseline in %s)\n",
+				c.Exhibit, c.SoloSeconds, c.FleetSeconds, c.Replicas, c.PointsFetched, c.Identical, old.Schema)
 		}
 	}
 	mismatch := false

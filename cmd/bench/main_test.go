@@ -154,12 +154,15 @@ func TestGateViolations(t *testing.T) {
 	})
 
 	t.Run("nonIdenticalShardSweepFlagged", func(t *testing.T) {
-		cur := report{ShardSweep: &shardSweepResult{Exhibit: "figure4", Identical: false}}
+		cur := report{ShardSweep: []shardSweepResult{
+			{Exhibit: "figure4", Identical: true},
+			{Exhibit: "table3", Identical: false},
+		}}
 		v := gateViolations(report{}, cur, 50)
-		if len(v) != 1 || !strings.Contains(v[0], "shard sweep") {
-			t.Errorf("expected one shard-sweep violation, got %v", v)
+		if len(v) != 1 || !strings.Contains(v[0], "shard sweep") || !strings.Contains(v[0], "table3") {
+			t.Errorf("expected one table3 shard-sweep violation, got %v", v)
 		}
-		cur.ShardSweep.Identical = true
+		cur.ShardSweep[1].Identical = true
 		if v := gateViolations(report{}, cur, 50); len(v) != 0 {
 			t.Errorf("identical shard sweep must pass, got %v", v)
 		}

@@ -22,62 +22,45 @@ type Compare struct {
 }
 
 // RunCompare executes the comparison.
-func RunCompare(s Setup) Compare {
-	type measured struct {
-		mlp64C, som, sou, conv64D, rae float64
-		vp                             [3]float64
-		missRate                       float64
-	}
-	per := make([]measured, len(s.Workloads))
-	type job struct{ wi, which int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for which := 0; which < 6; which++ {
-			jobs = append(jobs, job{wi, which})
-		}
-	}
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		w := s.Workloads[j.wi]
-		m := &per[j.wi]
-		switch j.which {
-		case 0:
-			res := s.RunMLPsim(w, core.Default(), annotate.Config{})
-			m.mlp64C = res.MLP()
-			m.missRate = res.MissRatePer100()
-		case 1:
-			res := s.RunMLPsim(w, core.Config{Mode: core.InOrderStallOnMiss}, annotate.Config{})
-			m.som = res.MLP()
-		case 2:
-			res := s.RunMLPsim(w, core.Config{Mode: core.InOrderStallOnUse}, annotate.Config{})
-			m.sou = res.MLP()
-		case 3:
-			res := s.RunMLPsim(w, core.Default().WithIssue(core.ConfigD), annotate.Config{})
-			m.conv64D = res.MLP()
-		case 4:
-			res := s.RunMLPsim(w, core.Default().WithIssue(core.ConfigD).WithRunahead(), annotate.Config{})
-			m.rae = res.MLP()
-		case 5:
-			st := s.AnnotateStats(w, annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}).VP
-			m.vp[0], m.vp[1], m.vp[2] = st.Fractions()
-		}
-	})
+func RunCompare(s Setup) Compare { return run(s, planCompare) }
 
-	var rows []CompareRow
-	for wi, w := range s.Workloads {
-		m := per[wi]
-		name := w.Name
-		rows = append(rows,
-			CompareRow{name, "L2 miss rate (/100)", paperT1(name, "miss"), m.missRate},
-			CompareRow{name, "MLP 64C (Table 3)", PaperTable3MLPsim[name]["64C"], m.mlp64C},
-			CompareRow{name, "MLP in-order stall-on-miss", PaperTable5[name][0], m.som},
-			CompareRow{name, "MLP in-order stall-on-use", PaperTable5[name][1], m.sou},
-			CompareRow{name, "RAE MLP gain vs 64D", PaperFigure8Gains[name][0], m.rae/m.conv64D - 1},
-			CompareRow{name, "VP correct fraction", PaperTable6[name][0], m.vp[0]},
-			CompareRow{name, "VP no-predict fraction", PaperTable6[name][2], m.vp[2]},
-		)
+// planCompare lists six points per workload: 64C, stall-on-miss,
+// stall-on-use, 64D and runahead runs, then the value predictor's
+// statistics.
+func planCompare(s Setup) ([]Point, func([]Result) Compare) {
+	const per = 6
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, cfg := range []core.Config{
+			core.Default(),
+			{Mode: core.InOrderStallOnMiss},
+			{Mode: core.InOrderStallOnUse},
+			core.Default().WithIssue(core.ConfigD),
+			core.Default().WithIssue(core.ConfigD).WithRunahead(),
+		} {
+			points = append(points, Point{Kind: EngineRun, Workload: w, Engine: cfg})
+		}
+		points = append(points, Point{Kind: StreamStats, Workload: w,
+			Annot: annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}})
 	}
-	return Compare{Rows: rows}
+	return points, func(rs []Result) Compare {
+		var rows []CompareRow
+		for wi, w := range s.Workloads {
+			m := rs[wi*per : (wi+1)*per]
+			vpCorrect, _, vpNoPredict := m[5].Annot.VP.Fractions()
+			name := w.Name
+			rows = append(rows,
+				CompareRow{name, "L2 miss rate (/100)", paperT1(name, "miss"), m[0].Engine.MissRatePer100()},
+				CompareRow{name, "MLP 64C (Table 3)", PaperTable3MLPsim[name]["64C"], m[0].Engine.MLP()},
+				CompareRow{name, "MLP in-order stall-on-miss", PaperTable5[name][0], m[1].Engine.MLP()},
+				CompareRow{name, "MLP in-order stall-on-use", PaperTable5[name][1], m[2].Engine.MLP()},
+				CompareRow{name, "RAE MLP gain vs 64D", PaperFigure8Gains[name][0], m[4].Engine.MLP()/m[3].Engine.MLP() - 1},
+				CompareRow{name, "VP correct fraction", PaperTable6[name][0], vpCorrect},
+				CompareRow{name, "VP no-predict fraction", PaperTable6[name][2], vpNoPredict},
+			)
+		}
+		return Compare{Rows: rows}
+	}
 }
 
 func paperT1(workload, metric string) float64 {

@@ -10,7 +10,6 @@ package experiments
 // every policy.
 
 import (
-	"mlpsim/internal/core"
 	"mlpsim/internal/smt"
 	"mlpsim/internal/workload"
 )
@@ -68,54 +67,43 @@ func extSMTSchedMixes(s Setup) []struct {
 // RunExtSMTSched executes the sweep: policy x thread count x mix, with
 // the per-thread instruction budget split like ext-smt (budget/K,
 // floored at one while a budget exists).
-func RunExtSMTSched(s Setup) ExtSMTSched {
+func RunExtSMTSched(s Setup) ExtSMTSched { return run(s, planExtSMTSched) }
+
+func planExtSMTSched(s Setup) ([]Point, func([]Result) ExtSMTSched) {
 	mixes := extSMTSchedMixes(s)
-	policies := smt.PolicyNames()
-	type point struct{ mi, ki int }
-	points := make([]point, 0, len(mixes)*len(ExtSMTSchedThreads))
-	for mi := range mixes {
-		for ki := range ExtSMTSchedThreads {
-			points = append(points, point{mi, ki})
+	var points []Point
+	for _, mix := range mixes {
+		for _, k := range ExtSMTSchedThreads {
+			threads := make([]workload.Config, k)
+			for t := range threads {
+				threads[t] = mix.Pick(t)
+			}
+			points = append(points, Point{Kind: SMTSchedule,
+				SMT: smt.SchedConfig{Config: s.smtConfig(threads)}, Policies: smt.PolicyNames()})
 		}
 	}
-	rows := make([]ExtSMTSchedRow, len(points)*len(policies))
-	s.forEach(len(points), func(i int) {
-		p := points[i]
-		k := ExtSMTSchedThreads[p.ki]
-		threads := make([]workload.Config, k)
-		for t := range threads {
-			threads[t] = mixes[p.mi].Pick(t)
-		}
-		per := s.Measure / int64(k)
-		if per == 0 && s.Measure > 0 {
-			per = 1
-		}
-		cfg := smt.SchedConfig{Config: smt.Config{
-			Threads:   threads,
-			Processor: core.Default(),
-			Warmup:    s.Warmup / int64(k),
-			Measure:   per,
-		}}
-		results := smt.RunScheduledPolicies(cfg, policies)
-		for pi, r := range results {
-			s.noteSMTSched(r)
-			rows[i*len(policies)+pi] = ExtSMTSchedRow{
-				Mix:           mixes[p.mi].Name,
-				Threads:       k,
-				Policy:        r.Policy,
-				AggMLP:        r.AggMLP,
-				CombinedLower: r.CombinedLower,
-				CombinedUpper: r.CombinedUpper,
-				MinShare:      r.MinShare,
-				MaxShare:      r.MaxShare,
-				Switches:      r.Switches,
-				Bursts:        r.Bursts,
-				Overlapped:    r.Overlapped,
-				FloorPicks:    r.FloorPicks,
+	return points, func(rs []Result) ExtSMTSched {
+		var rows []ExtSMTSchedRow
+		for i, res := range rs {
+			for _, r := range res.Sched {
+				rows = append(rows, ExtSMTSchedRow{
+					Mix:           mixes[i/len(ExtSMTSchedThreads)].Name,
+					Threads:       len(points[i].SMT.Threads),
+					Policy:        r.Policy,
+					AggMLP:        r.AggMLP,
+					CombinedLower: r.CombinedLower,
+					CombinedUpper: r.CombinedUpper,
+					MinShare:      r.MinShare,
+					MaxShare:      r.MaxShare,
+					Switches:      r.Switches,
+					Bursts:        r.Bursts,
+					Overlapped:    r.Overlapped,
+					FloorPicks:    r.FloorPicks,
+				})
 			}
 		}
-	})
-	return ExtSMTSched{Rows: rows}
+		return ExtSMTSched{Rows: rows}
+	}
 }
 
 // String renders the sweep.

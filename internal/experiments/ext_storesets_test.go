@@ -80,9 +80,9 @@ func TestExtStoreSetsOracleBitIdentical(t *testing.T) {
 	s := tiny(47, workload.Database(47))
 	s.Measure = 300_000
 	w := s.Workloads[0]
-	plain := s.RunMLPsim(w, core.Default(), annotate.Config{})
-	dep := s.RunMLPsim(w, core.Default(),
-		annotate.Config{StoreSets: storeset.New(storeset.DefaultConfig())})
+	plain := runOne(s, enginePoint(w, core.Default(), annotate.Config{}))
+	dep := runOne(s, enginePoint(w, core.Default(),
+		annotate.Config{StoreSets: storeset.New(storeset.DefaultConfig())}))
 	if !reflect.DeepEqual(plain, dep) {
 		t.Fatalf("oracle result changed under dep annotation\nplain: %+v\ndep:   %+v", plain, dep)
 	}
@@ -104,14 +104,13 @@ func TestExtStoreSetsGangMixesSoAAndScalar(t *testing.T) {
 	w := s.Workloads[0]
 
 	sscfg := storeset.Config{SSITSize: 1024, LFSTSize: 256, ConfThreshold: 0}
-	mk := func(mode core.DisambMode) MLPPoint {
+	mk := func(mode core.DisambMode) Point {
 		cfg := core.Default()
 		cfg.Disamb = mode
-		return MLPPoint{Workload: w, Config: cfg,
-			Annot: annotate.Config{StoreSets: storeset.New(sscfg)}}
+		return enginePoint(w, cfg, annotate.Config{StoreSets: storeset.New(sscfg)})
 	}
-	points := []MLPPoint{mk(core.DisambOracle), mk(core.DisambStoreSets), mk(core.DisambConservative)}
-	results := s.RunMLPsimBatch(points)
+	points := []Point{mk(core.DisambOracle), mk(core.DisambStoreSets), mk(core.DisambConservative)}
+	results := s.execute(points)
 
 	if g := s.GangStats.Gangs.Load(); g != 1 {
 		t.Fatalf("gang dispatches = %d, want 1", g)
@@ -125,13 +124,13 @@ func TestExtStoreSetsGangMixesSoAAndScalar(t *testing.T) {
 	}
 	var wantMisp, wantSer uint64
 	for i, p := range points {
-		solo := s.RunMLPsim(p.Workload, p.Config, annotate.Config{StoreSets: storeset.New(sscfg)})
+		solo := runOne(s, mk(p.Engine.Disamb))
 		if !reflect.DeepEqual(results[i], solo) {
 			t.Fatalf("point %d (%v): gang result differs from solo\ngang: %+v\nsolo: %+v",
-				i, p.Config.Disamb, results[i], solo)
+				i, p.Engine.Disamb, results[i], solo)
 		}
-		wantMisp += results[i].DepMispredicts
-		wantSer += results[i].DepSerializes
+		wantMisp += results[i].Engine.DepMispredicts
+		wantSer += results[i].Engine.DepSerializes
 	}
 	// Gang pass + solo pass each accumulate once.
 	if m := s.DepStats.Mispredicts.Load(); m != 2*wantMisp {
@@ -140,7 +139,7 @@ func TestExtStoreSetsGangMixesSoAAndScalar(t *testing.T) {
 	if sr := s.DepStats.Serializes.Load(); sr != 2*wantSer {
 		t.Errorf("DepStats.Serializes = %d, want %d", sr, 2*wantSer)
 	}
-	if results[2].DepSerializes == 0 {
+	if results[2].Engine.DepSerializes == 0 {
 		t.Error("conservative run serialized no loads")
 	}
 }

@@ -35,7 +35,9 @@ type ExtMSHR struct {
 var ExtMSHRCounts = []int{1, 2, 4, 8, 16, 0}
 
 // RunExtMSHR executes the sweep.
-func RunExtMSHR(s Setup) ExtMSHR {
+func RunExtMSHR(s Setup) ExtMSHR { return run(s, planExtMSHR) }
+
+func planExtMSHR(s Setup) ([]Point, func([]Result) ExtMSHR) {
 	configs := []struct {
 		name string
 		cfg  core.Config
@@ -43,32 +45,28 @@ func RunExtMSHR(s Setup) ExtMSHR {
 		{"64C", core.Default()},
 		{"RAE", core.Default().WithIssue(core.ConfigD).WithRunahead()},
 	}
-	type job struct{ wi, ci, mi int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
-			for mi := range ExtMSHRCounts {
-				jobs = append(jobs, job{wi, ci, mi})
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, c := range configs {
+			for _, m := range ExtMSHRCounts {
+				cfg := c.cfg
+				cfg.MSHRs = m
+				points = append(points, Point{Kind: EngineRun, Workload: w, Engine: cfg})
 			}
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := configs[j.ci].cfg
-		cfg.MSHRs = ExtMSHRCounts[j.mi]
-		points[i] = MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: annotate.Config{}}
-	}
-	results := s.RunMLPsimBatch(points)
-	cells := make([]ExtMSHRCell, len(jobs))
-	for i, j := range jobs {
-		cells[i] = ExtMSHRCell{
-			Workload: s.Workloads[j.wi].Name,
-			Config:   configs[j.ci].name,
-			MSHRs:    ExtMSHRCounts[j.mi],
-			MLP:      results[i].MLP(),
+	return points, func(rs []Result) ExtMSHR {
+		cells := make([]ExtMSHRCell, len(rs))
+		for i, p := range points {
+			cells[i] = ExtMSHRCell{
+				Workload: p.Workload.Name,
+				Config:   configs[i/len(ExtMSHRCounts)%len(configs)].name,
+				MSHRs:    p.Engine.MSHRs,
+				MLP:      rs[i].Engine.MLP(),
+			}
 		}
+		return ExtMSHR{Cells: cells}
 	}
-	return ExtMSHR{Cells: cells}
 }
 
 // String renders the sweep.
@@ -117,52 +115,43 @@ type ExtPrefetch struct {
 
 // RunExtPrefetch executes the experiment on the paper workloads plus the
 // strided micro-workload.
-func RunExtPrefetch(s Setup) ExtPrefetch {
+func RunExtPrefetch(s Setup) ExtPrefetch { return run(s, planExtPrefetch) }
+
+func planExtPrefetch(s Setup) ([]Point, func([]Result) ExtPrefetch) {
 	wls := append([]workload.Config{}, s.Workloads...)
 	wls = append(wls, workload.Strided(s.Seed))
 	variants := []string{"none", "I-seq", "D-stride", "both"}
-
-	type job struct{ wi, vi int }
-	var jobs []job
-	for wi := range wls {
-		for vi := range variants {
-			jobs = append(jobs, job{wi, vi})
+	var points []Point
+	for _, w := range wls {
+		for _, v := range variants {
+			acfg := annotate.Config{}
+			if v == "I-seq" || v == "both" {
+				acfg.IPrefetch = prefetch.NewSequential(4, mem.IFetch)
+			}
+			if v == "D-stride" || v == "both" {
+				acfg.DPrefetch = prefetch.NewStride(1024, 4)
+			}
+			points = append(points, Point{Kind: EngineRun, Workload: w,
+				Engine: core.Default().WithIssue(core.ConfigD).WithRunahead(), Annot: acfg})
 		}
 	}
-	rows := make([]ExtPrefetchRow, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		acfg := annotate.Config{}
-		var ipf *prefetch.Sequential
-		var dpf *prefetch.Stride
-		if variants[j.vi] == "I-seq" || variants[j.vi] == "both" {
-			ipf = prefetch.NewSequential(4, mem.IFetch)
-			acfg.IPrefetch = ipf
+	return points, func(rs []Result) ExtPrefetch {
+		rows := make([]ExtPrefetchRow, len(rs))
+		for i, r := range rs {
+			rows[i] = ExtPrefetchRow{
+				Workload:  points[i].Workload.Name,
+				Variant:   variants[i%len(variants)],
+				MLP:       r.Engine.MLP(),
+				MissRate:  r.Engine.MissRatePer100(),
+				IAccesses: r.Engine.IAccesses,
+				Accuracy: prefetch.Stats{
+					Issued: r.IPrefetch.Issued + r.DPrefetch.Issued,
+					Useful: r.IPrefetch.Useful + r.DPrefetch.Useful,
+				}.Accuracy(),
+			}
 		}
-		if variants[j.vi] == "D-stride" || variants[j.vi] == "both" {
-			dpf = prefetch.NewStride(1024, 4)
-			acfg.DPrefetch = dpf
-		}
-		res := s.RunMLPsim(wls[j.wi], core.Default().WithIssue(core.ConfigD).WithRunahead(), acfg)
-		row := ExtPrefetchRow{
-			Workload:  wls[j.wi].Name,
-			Variant:   variants[j.vi],
-			MLP:       res.MLP(),
-			MissRate:  res.MissRatePer100(),
-			IAccesses: res.IAccesses,
-		}
-		if ipf != nil || dpf != nil {
-			// Stats come from stream metadata on the cached path and from
-			// the (then-trained) instances on the direct path.
-			ist, dst := s.PrefetchStats(wls[j.wi], acfg)
-			row.Accuracy = prefetch.Stats{
-				Issued: ist.Issued + dst.Issued,
-				Useful: ist.Useful + dst.Useful,
-			}.Accuracy()
-		}
-		rows[i] = row
-	})
-	return ExtPrefetch{Rows: rows}
+		return ExtPrefetch{Rows: rows}
+	}
 }
 
 // String renders the experiment.
@@ -202,37 +191,35 @@ var ExtStoreSBs = []int{1, 2, 4, 8, 0}
 
 // RunExtStoreMLP executes the sweep on the database workload and the
 // store-heavy micro-workload.
-func RunExtStoreMLP(s Setup) ExtStoreMLP {
+func RunExtStoreMLP(s Setup) ExtStoreMLP { return run(s, planExtStoreMLP) }
+
+func planExtStoreMLP(s Setup) ([]Point, func([]Result) ExtStoreMLP) {
 	wls := []workload.Config{workload.StoreHeavy(s.Seed)}
 	if len(s.Workloads) > 0 {
 		wls = append(wls, s.Workloads[0])
 	}
-	type job struct{ wi, bi int }
-	var jobs []job
-	for wi := range wls {
-		for bi := range ExtStoreSBs {
-			jobs = append(jobs, job{wi, bi})
+	var points []Point
+	for _, w := range wls {
+		for _, sb := range ExtStoreSBs {
+			cfg := core.Default()
+			cfg.StoreBuffer = sb
+			points = append(points, Point{Kind: EngineRun, Workload: w, Engine: cfg})
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := core.Default()
-		cfg.StoreBuffer = ExtStoreSBs[j.bi]
-		points[i] = MLPPoint{Workload: wls[j.wi], Config: cfg, Annot: annotate.Config{}}
-	}
-	results := s.RunMLPsimBatch(points)
-	rows := make([]ExtStoreRow, len(jobs))
-	for i, j := range jobs {
-		fr := results[i].LimiterFracs()
-		rows[i] = ExtStoreRow{
-			Workload:      wls[j.wi].Name,
-			SB:            ExtStoreSBs[j.bi],
-			MLP:           results[i].MLP(),
-			StoreMLP:      results[i].StoreMLP(),
-			SBLimitedFrac: fr[core.LimStoreBuf],
+	return points, func(rs []Result) ExtStoreMLP {
+		rows := make([]ExtStoreRow, len(rs))
+		for i, p := range points {
+			res := &rs[i].Engine
+			rows[i] = ExtStoreRow{
+				Workload:      p.Workload.Name,
+				SB:            p.Engine.StoreBuffer,
+				MLP:           res.MLP(),
+				StoreMLP:      res.StoreMLP(),
+				SBLimitedFrac: res.LimiterFracs()[core.LimStoreBuf],
+			}
 		}
+		return ExtStoreMLP{Rows: rows}
 	}
-	return ExtStoreMLP{Rows: rows}
 }
 
 // String renders the sweep.

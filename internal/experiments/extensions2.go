@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/queueing"
 	"mlpsim/internal/smt"
@@ -30,44 +29,57 @@ type ExtSMT struct {
 }
 
 // RunExtSMT executes the sweep.
-func RunExtSMT(s Setup) ExtSMT {
+func RunExtSMT(s Setup) ExtSMT { return run(s, planExtSMT) }
+
+func planExtSMT(s Setup) ([]Point, func([]Result) ExtSMT) {
 	base := workload.Database(s.Seed)
 	if len(s.Workloads) > 0 {
 		base = s.Workloads[0]
 	}
 	counts := []int{1, 2, 4}
-	rows := make([]ExtSMTRow, len(counts))
-	s.forEach(len(counts), func(i int) {
-		k := counts[i]
+	points := make([]Point, len(counts))
+	for i, k := range counts {
 		threads := make([]workload.Config, k)
 		for t := range threads {
 			threads[t] = base.WithSeed(s.Seed + int64(t)*101)
 		}
-		// Split the instruction budget across threads, but never let the
-		// per-thread share round to zero while a budget exists: a K larger
-		// than the budget used to panic smt.Run's validation.
-		per := s.Measure / int64(k)
-		if per == 0 && s.Measure > 0 {
-			per = 1
+		points[i] = Point{Kind: SMTRun, SMT: smt.SchedConfig{Config: s.smtConfig(threads)}}
+	}
+	return points, func(rs []Result) ExtSMT {
+		rows := make([]ExtSMTRow, len(rs))
+		for i, r := range rs {
+			k := counts[i]
+			row := ExtSMTRow{
+				Threads:       k,
+				CombinedLower: r.SMT.CombinedLower,
+				CombinedUpper: r.SMT.CombinedUpper,
+			}
+			for t := 0; t < k; t++ {
+				row.PerThreadMLP = append(row.PerThreadMLP, r.SMT.PerThread[t].MLP())
+				row.MissRateDeltas = append(row.MissRateDeltas, r.SMT.SharedMissRate[t]-r.SMT.SoloMissRate[t])
+			}
+			rows[i] = row
 		}
-		res := smt.Run(smt.Config{
-			Threads:   threads,
-			Processor: core.Default(),
-			Warmup:    s.Warmup / int64(k),
-			Measure:   per,
-		})
-		row := ExtSMTRow{
-			Threads:       k,
-			CombinedLower: res.CombinedLower,
-			CombinedUpper: res.CombinedUpper,
-		}
-		for t := 0; t < k; t++ {
-			row.PerThreadMLP = append(row.PerThreadMLP, res.PerThread[t].MLP())
-			row.MissRateDeltas = append(row.MissRateDeltas, res.SharedMissRate[t]-res.SoloMissRate[t])
-		}
-		rows[i] = row
-	})
-	return ExtSMT{Rows: rows}
+		return ExtSMT{Rows: rows}
+	}
+}
+
+// smtConfig runs threads on the default processor, splitting the
+// Setup's instruction budget across them but never letting the
+// per-thread share round to zero while a budget exists: a K larger than
+// the budget used to panic smt.Run's validation.
+func (s Setup) smtConfig(threads []workload.Config) smt.Config {
+	k := int64(len(threads))
+	per := s.Measure / k
+	if per == 0 && s.Measure > 0 {
+		per = 1
+	}
+	return smt.Config{
+		Threads:   threads,
+		Processor: core.Default(),
+		Warmup:    s.Warmup / k,
+		Measure:   per,
+	}
 }
 
 // String renders the sweep.
@@ -113,32 +125,36 @@ type ExtBandwidth struct {
 var ExtBandwidthChannels = []int{1, 2, 4, 8}
 
 // RunExtBandwidth executes the experiment.
-func RunExtBandwidth(s Setup) ExtBandwidth {
-	type result struct {
-		collector *queueing.Collector
-		insts     int64
-	}
-	per := make([]result, len(s.Workloads))
-	s.forEach(len(s.Workloads), func(wi int) {
-		c := queueing.NewCollector(64)
-		cfg := core.Default().WithIssue(core.ConfigD).WithRunahead()
-		cfg.OnEpoch = c.OnEpoch
-		res := s.RunMLPsim(s.Workloads[wi], cfg, annotate.Config{})
-		per[wi] = result{collector: c, insts: res.Instructions}
-	})
-	var rows []ExtBandwidthRow
+func RunExtBandwidth(s Setup) ExtBandwidth { return run(s, planExtBandwidth) }
+
+// planExtBandwidth lists one runahead run per workload, each feeding its
+// own epoch collector; the OnEpoch callbacks keep these points on the
+// coordinator under sharding.
+func planExtBandwidth(s Setup) ([]Point, func([]Result) ExtBandwidth) {
+	collectors := make([]*queueing.Collector, len(s.Workloads))
+	points := make([]Point, len(s.Workloads))
 	for wi, w := range s.Workloads {
-		for _, ch := range ExtBandwidthChannels {
-			m := queueing.Model{Channels: ch, ServiceCycles: 120, LeadCycles: 880}
-			rows = append(rows, ExtBandwidthRow{
-				Workload:   w.Name,
-				Channels:   ch,
-				OffChipCPI: per[wi].collector.OffChipCPI(m, per[wi].insts),
-				Inflation:  per[wi].collector.EffectivePenaltyInflation(m),
-			})
-		}
+		collectors[wi] = queueing.NewCollector(64)
+		cfg := core.Default().WithIssue(core.ConfigD).WithRunahead()
+		cfg.OnEpoch = collectors[wi].OnEpoch
+		points[wi] = Point{Kind: EngineRun, Workload: w, Engine: cfg}
 	}
-	return ExtBandwidth{Rows: rows}
+	return points, func(rs []Result) ExtBandwidth {
+		var rows []ExtBandwidthRow
+		for wi, w := range s.Workloads {
+			c, insts := collectors[wi], rs[wi].Engine.Instructions
+			for _, ch := range ExtBandwidthChannels {
+				m := queueing.Model{Channels: ch, ServiceCycles: 120, LeadCycles: 880}
+				rows = append(rows, ExtBandwidthRow{
+					Workload:   w.Name,
+					Channels:   ch,
+					OffChipCPI: c.OffChipCPI(m, insts),
+					Inflation:  c.EffectivePenaltyInflation(m),
+				})
+			}
+		}
+		return ExtBandwidth{Rows: rows}
+	}
 }
 
 // String renders the experiment.

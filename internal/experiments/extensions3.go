@@ -55,50 +55,47 @@ func extStoreSetsGrid(si, ci int) storeset.Config {
 // Dep column, so their results are bit-identical to plain-annotation
 // runs while sharing the stream (and therefore a gang) with the
 // store-set points.
-func RunExtStoreSets(s Setup) ExtStoreSets {
+func RunExtStoreSets(s Setup) ExtStoreSets { return run(s, planExtStoreSets) }
+
+func planExtStoreSets(s Setup) ([]Point, func([]Result) ExtStoreSets) {
 	type job struct {
-		wi     int
 		mode   core.DisambMode
 		si, ci int
 	}
-	var jobs []job
-	for wi := range s.Workloads {
-		jobs = append(jobs,
-			job{wi, core.DisambOracle, 0, 0},
-			job{wi, core.DisambConservative, 0, 0})
-		for si := range ExtStoreSetsSSITs {
-			for ci := range ExtStoreSetsConfs {
-				jobs = append(jobs, job{wi, core.DisambStoreSets, si, ci})
+	jobs := []job{{core.DisambOracle, 0, 0}, {core.DisambConservative, 0, 0}}
+	for si := range ExtStoreSetsSSITs {
+		for ci := range ExtStoreSetsConfs {
+			jobs = append(jobs, job{core.DisambStoreSets, si, ci})
+		}
+	}
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, j := range jobs {
+			cfg := core.Default()
+			cfg.Disamb = j.mode
+			points = append(points, Point{Kind: EngineRun, Workload: w, Engine: cfg,
+				Annot: annotate.Config{StoreSets: storeset.New(extStoreSetsGrid(j.si, j.ci))}})
+		}
+	}
+	return points, func(rs []Result) ExtStoreSets {
+		rows := make([]ExtStoreSetsRow, len(rs))
+		for i, p := range points {
+			j, res := jobs[i%len(jobs)], &rs[i].Engine
+			row := ExtStoreSetsRow{
+				Workload:    p.Workload.Name,
+				Disamb:      j.mode.String(),
+				MLP:         res.MLP(),
+				Mispredicts: res.DepMispredicts,
+				Serializes:  res.DepSerializes,
 			}
+			if j.mode == core.DisambStoreSets {
+				g := extStoreSetsGrid(j.si, j.ci)
+				row.SSIT, row.LFST, row.Conf = g.SSITSize, g.LFSTSize, int(g.ConfThreshold)
+			}
+			rows[i] = row
 		}
+		return ExtStoreSets{Rows: rows}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := core.Default()
-		cfg.Disamb = j.mode
-		points[i] = MLPPoint{
-			Workload: s.Workloads[j.wi],
-			Config:   cfg,
-			Annot:    annotate.Config{StoreSets: storeset.New(extStoreSetsGrid(j.si, j.ci))},
-		}
-	}
-	results := s.RunMLPsimBatch(points)
-	rows := make([]ExtStoreSetsRow, len(jobs))
-	for i, j := range jobs {
-		row := ExtStoreSetsRow{
-			Workload:    s.Workloads[j.wi].Name,
-			Disamb:      j.mode.String(),
-			MLP:         results[i].MLP(),
-			Mispredicts: results[i].DepMispredicts,
-			Serializes:  results[i].DepSerializes,
-		}
-		if j.mode == core.DisambStoreSets {
-			g := extStoreSetsGrid(j.si, j.ci)
-			row.SSIT, row.LFST, row.Conf = g.SSITSize, g.LFSTSize, int(g.ConfThreshold)
-		}
-		rows[i] = row
-	}
-	return ExtStoreSets{Rows: rows}
 }
 
 // String renders the sweep.

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Figure10Row holds the limit-study MLPs for one workload on one baseline
 // (§5.6): perfect instruction prefetching, perfect value prediction,
@@ -24,7 +21,9 @@ type Figure10 struct {
 }
 
 // RunFigure10 executes the experiment.
-func RunFigure10(s Setup) Figure10 {
+func RunFigure10(s Setup) Figure10 { return run(s, planFigure10) }
+
+func planFigure10(s Setup) ([]Point, func([]Result) Figure10) {
 	baselines := []struct {
 		name string
 		cfg  core.Config
@@ -39,42 +38,32 @@ func RunFigure10(s Setup) Figure10 {
 		func(c *core.Config) { c.PerfectBP = true },
 		func(c *core.Config) { c.PerfectVP = true; c.PerfectBP = true },
 	}
-
-	type job struct{ wi, bi, vi int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for bi := range baselines {
-			for vi := range variants {
-				jobs = append(jobs, job{wi, bi, vi})
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, b := range baselines {
+			for _, v := range variants {
+				cfg := b.cfg
+				v(&cfg)
+				points = append(points, Point{Kind: EngineRun, Workload: w, Engine: cfg})
 			}
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := baselines[j.bi].cfg
-		variants[j.vi](&cfg)
-		points[i] = MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: annotate.Config{}}
+	return points, func(rs []Result) Figure10 {
+		var rows []Figure10Row
+		for i := 0; i < len(rs); i += len(variants) {
+			mlp := func(v int) float64 { return rs[i+v].Engine.MLP() }
+			rows = append(rows, Figure10Row{
+				Workload: points[i].Workload.Name,
+				Baseline: baselines[i/len(variants)%len(baselines)].name,
+				Base:     mlp(0),
+				PerfI:    mlp(1),
+				PerfVP:   mlp(2),
+				PerfBP:   mlp(3),
+				PerfVPBP: mlp(4),
+			})
+		}
+		return Figure10{Rows: rows}
 	}
-	results := s.RunMLPsimBatch(points)
-	mlps := make([]float64, len(jobs))
-	for i, res := range results {
-		mlps[i] = res.MLP()
-	}
-
-	var rows []Figure10Row
-	for i := 0; i < len(jobs); i += len(variants) {
-		j := jobs[i]
-		rows = append(rows, Figure10Row{
-			Workload: s.Workloads[j.wi].Name,
-			Baseline: baselines[j.bi].name,
-			Base:     mlps[i],
-			PerfI:    mlps[i+1],
-			PerfVP:   mlps[i+2],
-			PerfBP:   mlps[i+3],
-			PerfVPBP: mlps[i+4],
-		})
-	}
-	return Figure10{Rows: rows}
 }
 
 // String renders the limit study.

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
+	"mlpsim/internal/cyclesim"
 )
 
 // Figure11Row is the modelled overall performance improvement of one
@@ -56,50 +56,48 @@ func withMods(c core.Config, mods ...func(*core.Config)) core.Config {
 }
 
 // RunFigure11 executes the experiment.
-func RunFigure11(s Setup) Figure11 {
+func RunFigure11(s Setup) Figure11 { return run(s, planFigure11) }
+
+// planFigure11 lists each workload's characterization at 1000 cycles,
+// then every charted configuration per workload.
+func planFigure11(s Setup) ([]Point, func([]Result) Figure11) {
 	configs := figure11Configs()
-	chars := make([]Characterization, len(s.Workloads))
-	s.forEach(len(s.Workloads), func(wi int) {
-		chars[wi] = s.Characterize(s.Workloads[wi], 1000)
-	})
-
-	type job struct{ wi, ci int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
-			jobs = append(jobs, job{wi, ci})
+	nw := len(s.Workloads)
+	var points []Point
+	for _, w := range s.Workloads {
+		points = append(points, charPoint(w, cyclesim.Default(1000)))
+	}
+	for _, w := range s.Workloads {
+		for _, c := range configs {
+			points = append(points, Point{Kind: EngineRun, Workload: w, Engine: c.cfg})
 		}
 	}
-	results := make([]core.Result, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		results[i] = s.RunMLPsim(s.Workloads[j.wi], configs[j.ci].cfg, annotate.Config{})
-	})
-
-	var rows []Figure11Row
-	for wi := range s.Workloads {
-		p := chars[wi].Params()
-		var baseCPI float64
-		for ci := range configs {
-			res := &results[wi*len(configs)+ci]
-			// Each configuration's own (possibly reduced, e.g. perfI)
-			// miss rate feeds the model.
-			params := p
-			params.MissRatePer100 = res.MissRatePer100()
-			cpiEst := params.Estimate(res.MLP())
-			if ci == 0 {
-				baseCPI = cpiEst
+	return points, func(rs []Result) Figure11 {
+		var rows []Figure11Row
+		for wi, w := range s.Workloads {
+			p := characterization(points[wi], rs[wi]).Params()
+			var baseCPI float64
+			for ci, c := range configs {
+				res := &rs[nw+wi*len(configs)+ci].Engine
+				// Each configuration's own (possibly reduced, e.g. perfI)
+				// miss rate feeds the model.
+				params := p
+				params.MissRatePer100 = res.MissRatePer100()
+				cpiEst := params.Estimate(res.MLP())
+				if ci == 0 {
+					baseCPI = cpiEst
+				}
+				rows = append(rows, Figure11Row{
+					Workload: w.Name,
+					Config:   c.name,
+					MLP:      res.MLP(),
+					CPI:      cpiEst,
+					GainPct:  100 * (baseCPI/cpiEst - 1),
+				})
 			}
-			rows = append(rows, Figure11Row{
-				Workload: s.Workloads[wi].Name,
-				Config:   configs[ci].name,
-				MLP:      res.MLP(),
-				CPI:      cpiEst,
-				GainPct:  100 * (baseCPI/cpiEst - 1),
-			})
 		}
+		return Figure11{Rows: rows}
 	}
-	return Figure11{Rows: rows}
 }
 
 // String renders the chart data.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/stats"
 )
 
@@ -22,31 +21,27 @@ type Figure2 struct {
 }
 
 // RunFigure2 executes the experiment.
-func RunFigure2(s Setup) Figure2 {
-	points := stats.LogSpacedPoints(4096)
-	series := make([]Figure2Series, len(s.Workloads))
-	s.forEach(len(s.Workloads), func(i int) {
-		w := s.Workloads[i]
-		src := s.annotatedSource(w, annotate.Config{})
-		var rec stats.DistanceRecorder
-		for n := int64(0); n < s.Measure; n++ {
-			in, ok := src.Next()
-			if !ok {
-				break
-			}
-			if in.OffChip() {
-				rec.Observe(in.Index)
+func RunFigure2(s Setup) Figure2 { return run(s, planFigure2) }
+
+func planFigure2(s Setup) ([]Point, func([]Result) Figure2) {
+	points := make([]Point, len(s.Workloads))
+	for i, w := range s.Workloads {
+		points[i] = Point{Kind: MissDistance, Workload: w}
+	}
+	return points, func(rs []Result) Figure2 {
+		probes := append([]int64(nil), missDistanceProbes...)
+		series := make([]Figure2Series, len(rs))
+		for i, r := range rs {
+			series[i] = Figure2Series{
+				Workload:     s.Workloads[i].Name,
+				MeanDistance: r.MeanDistance,
+				Points:       probes,
+				Observed:     r.DistanceCDF,
+				Uniform:      stats.UniformCDFAt(r.MeanDistance, probes),
 			}
 		}
-		series[i] = Figure2Series{
-			Workload:     w.Name,
-			MeanDistance: rec.MeanDistance(),
-			Points:       points,
-			Observed:     rec.CDFAt(points),
-			Uniform:      stats.UniformCDFAt(rec.MeanDistance(), points),
-		}
-	})
-	return Figure2{Series: series}
+		return Figure2{Series: series}
+	}
 }
 
 // String renders the curves as a table of CDF values.

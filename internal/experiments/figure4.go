@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Figure4Sizes and Figure4Configs are the sweep axes of Figures 4 and 5.
 var (
@@ -39,38 +36,31 @@ type figure4Key struct {
 }
 
 // RunFigure4 executes the sweep.
-func RunFigure4(s Setup) Figure4 {
-	type job struct {
-		wi, si, ci int
-	}
-	var jobs []job
-	for wi := range s.Workloads {
-		for si := range Figure4Sizes {
-			for ci := range Figure4Configs {
-				jobs = append(jobs, job{wi, si, ci})
+func RunFigure4(s Setup) Figure4 { return run(s, planFigure4) }
+
+func planFigure4(s Setup) ([]Point, func([]Result) Figure4) {
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, size := range Figure4Sizes {
+			for _, ic := range Figure4Configs {
+				points = append(points, Point{Kind: EngineRun, Workload: w,
+					Engine: core.Default().WithWindow(size).WithIssue(ic)})
 			}
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		points[i] = MLPPoint{
-			Workload: s.Workloads[j.wi],
-			Config:   core.Default().WithWindow(Figure4Sizes[j.si]).WithIssue(Figure4Configs[j.ci]),
-			Annot:    annotate.Config{},
+	return points, func(rs []Result) Figure4 {
+		cells := make([]Figure4Cell, len(rs))
+		for i, p := range points {
+			cells[i] = Figure4Cell{
+				Workload: p.Workload.Name,
+				Window:   p.Engine.ROB,
+				Issue:    p.Engine.Issue,
+				MLP:      rs[i].Engine.MLP(),
+				Result:   rs[i].Engine,
+			}
 		}
+		return Figure4{Cells: cells}
 	}
-	results := s.RunMLPsimBatch(points)
-	cells := make([]Figure4Cell, len(jobs))
-	for i, j := range jobs {
-		cells[i] = Figure4Cell{
-			Workload: s.Workloads[j.wi].Name,
-			Window:   Figure4Sizes[j.si],
-			Issue:    Figure4Configs[j.ci],
-			MLP:      results[i].MLP(),
-			Result:   results[i],
-		}
-	}
-	return Figure4{Cells: cells}
 }
 
 // Lookup returns the cell for (workload, window, config), or nil. The

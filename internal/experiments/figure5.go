@@ -9,9 +9,13 @@ type Figure5 struct {
 	Cells []Figure4Cell
 }
 
-// RunFigure5 executes the sweep (it shares the Figure 4 runner).
-func RunFigure5(s Setup) Figure5 {
-	return Figure5{Cells: RunFigure4(s).Cells}
+// RunFigure5 executes the sweep.
+func RunFigure5(s Setup) Figure5 { return run(s, planFigure5) }
+
+// planFigure5 is Figure 4's plan, rendered as limiter shares.
+func planFigure5(s Setup) ([]Point, func([]Result) Figure5) {
+	points, render := planFigure4(s)
+	return points, func(rs []Result) Figure5 { return Figure5{Cells: render(rs).Cells} }
 }
 
 // paperLimiters are the Figure 5 bar segments in the paper's order.

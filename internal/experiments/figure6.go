@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Figure6Cell is one bar segment: issue window IW, issue configuration,
 // and a decoupled ROB size.
@@ -44,52 +41,52 @@ var (
 )
 
 // RunFigure6 executes the sweep.
-func RunFigure6(s Setup) Figure6 {
-	type job struct {
-		wi, iwi, ci int
-		rob         int
-	}
-	var jobs []job
-	for wi := range s.Workloads {
+func RunFigure6(s Setup) Figure6 { return run(s, planFigure6) }
+
+// planFigure6 lists every bar segment, then each workload's INF
+// reference, so the whole exhibit shares each workload's stream.
+func planFigure6(s Setup) ([]Point, func([]Result) Figure6) {
+	var points []Point
+	for _, w := range s.Workloads {
 		for _, iw := range Figure6IWs {
-			for ci := range Figure6Configs {
-				for _, m := range Figure6Mults {
-					jobs = append(jobs, job{wi, iw, ci, iw * m})
+			for _, ic := range Figure6Configs {
+				for _, rob := range append(multiples(iw, Figure6Mults), figure6BigROB) {
+					cfg := core.Default().WithIssue(ic)
+					cfg.IssueWindow = iw
+					cfg.ROB = rob
+					points = append(points, Point{Kind: EngineRun, Workload: w, Engine: cfg})
 				}
-				jobs = append(jobs, job{wi, iw, ci, figure6BigROB})
 			}
 		}
 	}
-	// One batch covers the bar segments and the per-workload INF
-	// reference, so the whole exhibit shares each workload's stream.
-	points := make([]MLPPoint, 0, len(jobs)+len(s.Workloads))
-	for _, j := range jobs {
-		cfg := core.Default().WithIssue(Figure6Configs[j.ci])
-		cfg.IssueWindow = j.iwi
-		cfg.ROB = j.rob
-		points = append(points, MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: annotate.Config{}})
+	n := len(points)
+	for _, w := range s.Workloads {
+		points = append(points, Point{Kind: EngineRun, Workload: w,
+			Engine: core.Default().WithWindow(figure6BigROB).WithIssue(core.ConfigE)})
 	}
-	for wi := range s.Workloads {
-		points = append(points, MLPPoint{
-			Workload: s.Workloads[wi],
-			Config:   core.Default().WithWindow(figure6BigROB).WithIssue(core.ConfigE),
-			Annot:    annotate.Config{},
-		})
-	}
-	results := s.RunMLPsimBatch(points)
-
-	cells := make([]Figure6Cell, len(jobs))
-	for i, j := range jobs {
-		cells[i] = Figure6Cell{
-			Workload: s.Workloads[j.wi].Name, IW: j.iwi, Issue: Figure6Configs[j.ci], ROB: j.rob,
-			MLP: results[i].MLP(),
+	return points, func(rs []Result) Figure6 {
+		cells := make([]Figure6Cell, n)
+		for i, p := range points[:n] {
+			cells[i] = Figure6Cell{
+				Workload: p.Workload.Name, IW: p.Engine.IssueWindow, Issue: p.Engine.Issue, ROB: p.Engine.ROB,
+				MLP: rs[i].Engine.MLP(),
+			}
 		}
+		inf := make(map[string]float64, len(s.Workloads))
+		for wi, w := range s.Workloads {
+			inf[w.Name] = rs[n+wi].Engine.MLP()
+		}
+		return Figure6{Cells: cells, INF: inf}
 	}
-	inf := make(map[string]float64, len(s.Workloads))
-	for wi, w := range s.Workloads {
-		inf[w.Name] = results[len(jobs)+wi].MLP()
+}
+
+// multiples returns base times each factor.
+func multiples(base int, factors []int) []int {
+	out := make([]int, len(factors))
+	for i, f := range factors {
+		out[i] = base * f
 	}
-	return Figure6{Cells: cells, INF: inf}
+	return out
 }
 
 // Lookup returns the MLP for a bar segment, or -1 when absent. The first

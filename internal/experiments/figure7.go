@@ -23,28 +23,28 @@ type Figure7 struct {
 var Figure7L2Sizes = []int{1 << 20, 2 << 20, 4 << 20, 8 << 20}
 
 // RunFigure7 executes the sweep with the default 64C processor.
-func RunFigure7(s Setup) Figure7 {
-	type job struct{ wi, li int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for li := range Figure7L2Sizes {
-			jobs = append(jobs, job{wi, li})
+func RunFigure7(s Setup) Figure7 { return run(s, planFigure7) }
+
+func planFigure7(s Setup) ([]Point, func([]Result) Figure7) {
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, l2 := range Figure7L2Sizes {
+			points = append(points, Point{Kind: EngineRun, Workload: w, Engine: core.Default(),
+				Annot: annotate.Config{Hierarchy: mem.DefaultHierarchy().WithL2Size(l2)}})
 		}
 	}
-	cells := make([]Figure7Cell, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		w := s.Workloads[j.wi]
-		acfg := annotate.Config{Hierarchy: mem.DefaultHierarchy().WithL2Size(Figure7L2Sizes[j.li])}
-		res := s.RunMLPsim(w, core.Default(), acfg)
-		cells[i] = Figure7Cell{
-			Workload: w.Name,
-			L2Bytes:  Figure7L2Sizes[j.li],
-			MLP:      res.MLP(),
-			MissRate: res.MissRatePer100(),
+	return points, func(rs []Result) Figure7 {
+		cells := make([]Figure7Cell, len(rs))
+		for i, p := range points {
+			cells[i] = Figure7Cell{
+				Workload: p.Workload.Name,
+				L2Bytes:  Figure7L2Sizes[i%len(Figure7L2Sizes)],
+				MLP:      rs[i].Engine.MLP(),
+				MissRate: rs[i].Engine.MissRatePer100(),
+			}
 		}
-	})
-	return Figure7{Cells: cells}
+		return Figure7{Cells: cells}
+	}
 }
 
 // String renders the sweep.

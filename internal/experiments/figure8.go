@@ -1,10 +1,5 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
-
 // Figure8Row compares runahead execution against two conventional
 // configurations for one workload (§5.4.1).
 type Figure8Row struct {
@@ -23,37 +18,24 @@ type Figure8 struct {
 }
 
 // RunFigure8 executes the experiment.
-func RunFigure8(s Setup) Figure8 {
-	rows := make([]Figure8Row, len(s.Workloads))
-	for i, w := range s.Workloads {
-		rows[i].Workload = w.Name
-	}
-	points := make([]MLPPoint, len(s.Workloads)*3)
-	for i := range points {
-		wi, which := i/3, i%3
-		var cfg core.Config
-		switch which {
-		case 0:
-			cfg = core.Default().WithIssue(core.ConfigD)
-		case 1:
-			cfg = core.Default().WithIssue(core.ConfigD).WithROB(256)
-		default:
-			cfg = core.Default().WithIssue(core.ConfigD).WithRunahead()
-		}
-		points[i] = MLPPoint{Workload: s.Workloads[wi], Config: cfg, Annot: annotate.Config{}}
-	}
-	results := s.RunMLPsimBatch(points)
-	for i, res := range results {
-		switch wi := i / 3; i % 3 {
-		case 0:
-			rows[wi].Conv64 = res.MLP()
-		case 1:
-			rows[wi].Conv256 = res.MLP()
-		default:
-			rows[wi].RAE = res.MLP()
+func RunFigure8(s Setup) Figure8 { return run(s, planFigure8) }
+
+// planFigure8 lists 64D/64, 64D/256 and runahead per workload.
+func planFigure8(s Setup) ([]Point, func([]Result) Figure8) {
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, b := range figure9Bases() {
+			points = append(points, Point{Kind: EngineRun, Workload: w, Engine: b.cfg})
 		}
 	}
-	return Figure8{Rows: rows}
+	return points, func(rs []Result) Figure8 {
+		rows := make([]Figure8Row, len(s.Workloads))
+		for i, w := range s.Workloads {
+			rows[i] = Figure8Row{Workload: w.Name,
+				Conv64: rs[3*i].Engine.MLP(), Conv256: rs[3*i+1].Engine.MLP(), RAE: rs[3*i+2].Engine.MLP()}
+		}
+		return Figure8{Rows: rows}
+	}
 }
 
 // String renders the comparison with the paper's improvement

@@ -3,6 +3,7 @@ package experiments
 import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
+	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/vpred"
 )
 
@@ -40,50 +41,45 @@ func figure9Bases() []struct {
 }
 
 // RunFigure9 executes the experiment.
-func RunFigure9(s Setup) Figure9 {
+func RunFigure9(s Setup) Figure9 { return run(s, planFigure9) }
+
+// planFigure9 lists each workload's characterization at 1000 cycles,
+// then every base configuration without and with value prediction.
+func planFigure9(s Setup) ([]Point, func([]Result) Figure9) {
 	bases := figure9Bases()
-	chars := make([]Characterization, len(s.Workloads))
-	s.forEach(len(s.Workloads), func(wi int) {
-		chars[wi] = s.Characterize(s.Workloads[wi], 1000)
-	})
-
-	type job struct{ wi, bi, vp int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for bi := range bases {
-			for vp := 0; vp < 2; vp++ {
-				jobs = append(jobs, job{wi, bi, vp})
-			}
+	nw := len(s.Workloads)
+	var points []Point
+	for _, w := range s.Workloads {
+		points = append(points, charPoint(w, cyclesim.Default(1000)))
+	}
+	for _, w := range s.Workloads {
+		for _, b := range bases {
+			vp := b.cfg
+			vp.ValuePredict = true
+			points = append(points,
+				Point{Kind: EngineRun, Workload: w, Engine: b.cfg},
+				Point{Kind: EngineRun, Workload: w, Engine: vp,
+					Annot: annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}})
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := bases[j.bi].cfg
-		acfg := annotate.Config{}
-		if j.vp == 1 {
-			cfg.ValuePredict = true
-			acfg.Value = vpred.NewLastValue(vpred.DefaultEntries)
+	return points, func(rs []Result) Figure9 {
+		var rows []Figure9Row
+		for i := nw; i < len(points); i += 2 {
+			wi, bi := (i-nw)/2/len(bases), (i-nw)/2%len(bases)
+			base, withVP := &rs[i].Engine, &rs[i+1].Engine
+			p := characterization(points[wi], rs[wi]).Params()
+			baseCPI := p.Estimate(base.MLP())
+			vpCPI := p.Estimate(withVP.MLP())
+			rows = append(rows, Figure9Row{
+				Workload:    s.Workloads[wi].Name,
+				Base:        bases[bi].name,
+				MLPBase:     base.MLP(),
+				MLPVP:       withVP.MLP(),
+				PerfGainPct: 100 * (baseCPI/vpCPI - 1),
+			})
 		}
-		points[i] = MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: acfg}
+		return Figure9{Rows: rows}
 	}
-	mlps := s.RunMLPsimBatch(points)
-
-	var rows []Figure9Row
-	for i := 0; i < len(jobs); i += 2 {
-		j := jobs[i]
-		base, withVP := mlps[i], mlps[i+1]
-		p := chars[j.wi].Params()
-		baseCPI := p.Estimate(base.MLP())
-		vpCPI := p.Estimate(withVP.MLP())
-		rows = append(rows, Figure9Row{
-			Workload:    s.Workloads[j.wi].Name,
-			Base:        bases[j.bi].name,
-			MLPBase:     base.MLP(),
-			MLPVP:       withVP.MLP(),
-			PerfGainPct: 100 * (baseCPI/vpCPI - 1),
-		})
-	}
-	return Figure9{Rows: rows}
 }
 
 // String renders the comparison.

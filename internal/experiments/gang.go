@@ -3,22 +3,10 @@ package experiments
 import (
 	"sync/atomic"
 
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
 	"mlpsim/internal/workload"
 )
-
-// MLPPoint is one MLPsim sweep point: a workload, an engine
-// configuration and an annotation configuration. Exhibits hand a slice
-// of these to RunMLPsimBatch instead of looping over RunMLPsim, which
-// lets points sharing an annotated stream run as a gang (one decode,
-// one dependence-binding pass, K engines — see core.RunGang).
-type MLPPoint struct {
-	Workload workload.Config
-	Config   core.Config
-	Annot    annotate.Config
-}
 
 // GangStats accumulates gang occupancy counters across sweeps. Safe for
 // concurrent use; the zero value is ready.
@@ -38,71 +26,54 @@ type GangStats struct {
 	ScalarInsts atomic.Uint64
 }
 
-// runBatchLocal executes every point on this replica, in point order.
-// It is the gang-dispatch engine behind RunMLPsimBatch (see shard.go
-// for the sharded and shard-executor wrappers).
-func (s Setup) runBatchLocal(points []MLPPoint) []core.Result {
-	results := make([]core.Result, len(points))
-	plan := s.gangPlan(points)
-	s.forEach(len(plan), func(gi int) {
-		idxs := plan[gi]
-		if len(idxs) == 1 {
-			p := points[idxs[0]]
-			results[idxs[0]] = s.RunMLPsim(p.Workload, p.Config, p.Annot)
-			if s.GangStats != nil {
-				s.GangStats.Solo.Add(1)
-			}
-			return
-		}
-		p0 := points[idxs[0]]
-		cfgs := make([]core.Config, len(idxs))
-		for k, pi := range idxs {
-			cfgs[k] = points[pi].Config
-			cfgs[k].MaxInstructions = s.Measure
-		}
-		g := core.NewGang(s.annotatedSource(p0.Workload, p0.Annot), cfgs)
-		rs := g.Run()
-		for k, pi := range idxs {
-			results[pi] = rs[k]
-			s.noteDepStats(rs[k])
-		}
-		if s.GangStats != nil {
-			s.GangStats.Gangs.Add(1)
-			s.GangStats.Configs.Add(uint64(len(idxs)))
-			gs := g.Stats()
-			s.GangStats.SoAInsts.Add(gs.SoAInsts)
-			s.GangStats.ScalarInsts.Add(gs.ScalarInsts)
-		}
-	})
-	return results
+// runGang runs the engine points idxs, which share one annotated
+// stream, as one gang: one decode and dependence-binding pass for K
+// engines (see core.RunGang).
+func (s Setup) runGang(points []Point, idxs []int, results []Result) {
+	p0 := points[idxs[0]]
+	cfgs := make([]core.Config, len(idxs))
+	for k, pi := range idxs {
+		cfgs[k] = points[pi].Engine
+		cfgs[k].MaxInstructions = s.Measure
+	}
+	src, tr := s.open(p0.Workload, p0.Annot)
+	g := core.NewGang(src, cfgs)
+	rs := g.Run()
+	ipf, dpf := prefetchStats(tr, p0.Annot)
+	for k, pi := range idxs {
+		results[pi] = Result{Engine: rs[k], IPrefetch: ipf, DPrefetch: dpf}
+	}
+	if s.GangStats != nil {
+		s.GangStats.Gangs.Add(1)
+		s.GangStats.Configs.Add(uint64(len(idxs)))
+		gs := g.Stats()
+		s.GangStats.SoAInsts.Add(gs.SoAInsts)
+		s.GangStats.ScalarInsts.Add(gs.ScalarInsts)
+	}
 }
 
-// gangPlan partitions point indices into dispatch groups. Points group
-// when they will see the same annotated stream: same workload and same
-// canonical annotation key (atrace.ConfigKey), under this Setup's warmup
-// and measure. Grouping does not require the cache — a gang over a
-// direct annotator still shares its single annotation pass — but
-// unkeyable configs (e.g. trained prefetcher instances) have private
-// stream state and always run solo. Groups are then chunked: a fixed
-// GangSize when set, otherwise just enough chunks to keep every worker
-// busy (on one worker, a whole group is one gang).
-func (s Setup) gangPlan(points []MLPPoint) [][]int {
+// gangPlan partitions the point indices idxs into dispatch tasks.
+// Engine points group when they will see the same annotated stream: same
+// workload and same canonical annotation key (atrace.ConfigKey), under
+// this Setup's warmup and measure. Grouping does not require the cache —
+// a gang over a direct annotator still shares its single annotation pass
+// — but unkeyable configs (e.g. trained prefetcher instances) have
+// private stream state and always run solo, as does every point of
+// another kind. Groups are then chunked: a fixed GangSize when set,
+// otherwise just enough chunks to keep every worker busy (on one
+// worker, a whole group is one gang).
+func (s Setup) gangPlan(points []Point, idxs []int) [][]int {
 	var plan [][]int
-	if s.GangSize == 1 {
-		for i := range points {
-			plan = append(plan, []int{i})
-		}
-		return plan
-	}
 	type gkey struct {
 		w     workload.Config
 		annot string
 	}
 	var order []gkey
 	groups := make(map[gkey][]int)
-	for i, p := range points {
+	for _, i := range idxs {
+		p := points[i]
 		akey, _, ok := atrace.ConfigKey(p.Annot)
-		if !ok {
+		if p.Kind != EngineRun || s.GangSize == 1 || !ok {
 			plan = append(plan, []int{i})
 			continue
 		}
@@ -139,10 +110,10 @@ func (s Setup) gangPlan(points []MLPPoint) [][]int {
 // every gang onto the mixed path. Result order is unaffected — the plan
 // carries original point indices. A group that is already uniform (the
 // common sweep shape) is returned unchanged.
-func partitionSoAFirst(g []int, points []MLPPoint) []int {
+func partitionSoAFirst(g []int, points []Point) []int {
 	split := 0
 	for _, pi := range g {
-		if core.SoAEligible(points[pi].Config) {
+		if core.SoAEligible(points[pi].Engine) {
 			split++
 		}
 	}
@@ -151,12 +122,12 @@ func partitionSoAFirst(g []int, points []MLPPoint) []int {
 	}
 	out := make([]int, 0, len(g))
 	for _, pi := range g {
-		if core.SoAEligible(points[pi].Config) {
+		if core.SoAEligible(points[pi].Engine) {
 			out = append(out, pi)
 		}
 	}
 	for _, pi := range g {
-		if !core.SoAEligible(points[pi].Config) {
+		if !core.SoAEligible(points[pi].Engine) {
 			out = append(out, pi)
 		}
 	}

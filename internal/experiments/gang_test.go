@@ -9,6 +9,7 @@ import (
 	"mlpsim/internal/core"
 	"mlpsim/internal/isa"
 	"mlpsim/internal/vpred"
+	"mlpsim/internal/workload"
 )
 
 // TestGangMatchesSequential is the satellite property test of this
@@ -29,7 +30,7 @@ func TestGangMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sizes := []int{16, 64, 256}
 	issues := []core.IssueConfig{core.ConfigA, core.ConfigB, core.ConfigC, core.ConfigD, core.ConfigE}
-	var points []MLPPoint
+	var points []Point
 	for _, w := range s.Workloads {
 		for i := 0; i < 5; i++ {
 			cfg := core.Default().WithWindow(sizes[rng.Intn(len(sizes))]).WithIssue(issues[rng.Intn(len(issues))])
@@ -41,22 +42,22 @@ func TestGangMatchesSequential(t *testing.T) {
 				cfg.ValuePredict = true
 				acfg.Value = vpred.NewLastValue(vpred.DefaultEntries)
 			}
-			points = append(points, MLPPoint{Workload: w, Config: cfg, Annot: acfg})
+			points = append(points, enginePoint(w, cfg, acfg))
 		}
 	}
 
 	seq := s
 	seq.GangSize = 1
 	seq.GangStats = nil
-	want := seq.RunMLPsimBatch(points)
+	want := seq.execute(points)
 
 	for _, gangSize := range []int{0, 3} {
 		s.GangSize = gangSize
-		got := s.RunMLPsimBatch(points)
+		got := s.execute(points)
 		for i := range points {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("GangSize=%d point %d (%s, %s): gang result differs from sequential\ngang: %+v\nsolo: %+v",
-					gangSize, i, points[i].Workload.Name, points[i].Config.Name(), got[i], want[i])
+					gangSize, i, points[i].Workload.Name, points[i].Engine.Name(), got[i], want[i])
 			}
 		}
 	}
@@ -75,21 +76,21 @@ func TestGangMatchesSequential(t *testing.T) {
 func TestGangPlanShapes(t *testing.T) {
 	s := Quick(1)
 	w := s.Workloads[0]
-	mk := func(n int) []MLPPoint {
-		pts := make([]MLPPoint, n)
+	mk := func(n int) []Point {
+		pts := make([]Point, n)
 		for i := range pts {
-			pts[i] = MLPPoint{Workload: w, Config: core.Default(), Annot: annotate.Config{}}
+			pts[i] = enginePoint(w, core.Default(), annotate.Config{})
 		}
 		return pts
 	}
 
 	s.GangSize = 1
-	if plan := s.gangPlan(mk(5)); len(plan) != 5 {
+	if plan := s.gangPlan(mk(5), indices(5)); len(plan) != 5 {
 		t.Errorf("GangSize=1 plan has %d groups, want 5 singletons", len(plan))
 	}
 
 	s.GangSize = 4
-	plan := s.gangPlan(mk(10))
+	plan := s.gangPlan(mk(10), indices(10))
 	if len(plan) != 3 || len(plan[0]) != 4 || len(plan[1]) != 4 || len(plan[2]) != 2 {
 		t.Errorf("GangSize=4 over 10 points: plan shape %v, want [4 4 2]", planShape(plan))
 	}
@@ -104,12 +105,20 @@ func TestGangPlanShapes(t *testing.T) {
 	for i := range pts {
 		pts[i].Annot.Value = vp
 	}
-	for i, g := range s.gangPlan(pts) {
+	for i, g := range s.gangPlan(pts, indices(len(pts))) {
 		if len(g) != 1 {
 			t.Errorf("unkeyable group %d has %d members, want solo dispatch", i, len(g))
 		}
 	}
 }
+
+// enginePoint is one epoch-engine run.
+func enginePoint(w workload.Config, cfg core.Config, acfg annotate.Config) Point {
+	return Point{Kind: EngineRun, Workload: w, Engine: cfg, Annot: acfg}
+}
+
+// runOne executes a one-point plan.
+func runOne(s Setup, p Point) Result { return s.execute([]Point{p})[0] }
 
 func planShape(plan [][]int) []int {
 	shape := make([]int, len(plan))

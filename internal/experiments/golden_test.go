@@ -13,6 +13,11 @@ import (
 	"mlpsim/internal/workload"
 )
 
+// cyclePoint is one cycle-simulator run.
+func cyclePoint(w workload.Config, cfg cyclesim.Config) Point {
+	return Point{Kind: CycleGang, Workload: w, Cycle: []cyclesim.Config{cfg}}
+}
+
 // goldenSetups returns the same experiment setup twice: once routed
 // through the annotated-trace cache and once on the direct
 // annotate-per-run path.
@@ -52,15 +57,15 @@ func TestCachedPathMatchesDirect(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			for _, cc := range coreConfigs {
-				got := cached.RunMLPsim(w, cc.cfg, annotate.Config{})
-				want := direct.RunMLPsim(w, cc.cfg, annotate.Config{})
+				got := runOne(cached, enginePoint(w, cc.cfg, annotate.Config{}))
+				want := runOne(direct, enginePoint(w, cc.cfg, annotate.Config{}))
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("core %s: cached result differs from direct\ncached: %+v\ndirect: %+v", cc.name, got, want)
 				}
 			}
 			for _, cc := range cycleConfigs {
-				got := cached.RunCycleSim(w, cc.cfg, annotate.Config{})
-				want := direct.RunCycleSim(w, cc.cfg, annotate.Config{})
+				got := runOne(cached, cyclePoint(w, cc.cfg))
+				want := runOne(direct, cyclePoint(w, cc.cfg))
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("cyclesim %s: cached result differs from direct\ncached: %+v\ndirect: %+v", cc.name, got, want)
 				}
@@ -91,14 +96,14 @@ func TestSegmentedCacheMatchesDirect(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			for _, s := range []Setup{cached, reloaded} {
 				for _, cfg := range cfgs {
-					got := s.RunMLPsim(w, cfg, annotate.Config{})
-					want := direct.RunMLPsim(w, cfg, annotate.Config{})
+					got := runOne(s, enginePoint(w, cfg, annotate.Config{}))
+					want := runOne(direct, enginePoint(w, cfg, annotate.Config{}))
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("spilled cached result differs from direct\ncached: %+v\ndirect: %+v", got, want)
 					}
 				}
-				got := s.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
-				want := direct.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
+				got := runOne(s, cyclePoint(w, cyclesim.Default(400)))
+				want := runOne(direct, cyclePoint(w, cyclesim.Default(400)))
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("spilled cached cyclesim result differs from direct\ncached: %+v\ndirect: %+v", got, want)
 				}
@@ -113,7 +118,7 @@ func TestSegmentedCacheMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestCachedStatsMatchDirect checks the AnnotateStats path (Table 6 /
+// TestCachedStatsMatchDirect checks the StreamStats points (Table 6 /
 // Compare) the same way.
 func TestCachedStatsMatchDirect(t *testing.T) {
 	cached, direct := goldenSetups(2)
@@ -121,8 +126,8 @@ func TestCachedStatsMatchDirect(t *testing.T) {
 	acfg := func() annotate.Config {
 		return annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}
 	}
-	got := cached.AnnotateStats(w, acfg())
-	want := direct.AnnotateStats(w, acfg())
+	got := runOne(cached, Point{Kind: StreamStats, Workload: w, Annot: acfg()}).Annot
+	want := runOne(direct, Point{Kind: StreamStats, Workload: w, Annot: acfg()}).Annot
 	if got != want {
 		t.Errorf("cached stats %+v, want %+v", got, want)
 	}
@@ -144,9 +149,9 @@ func TestCacheDeduplicatesAcrossRunners(t *testing.T) {
 		core.Default().WithIssue(core.ConfigD),
 		core.Default().WithIssue(core.ConfigD).WithRunahead(),
 	} {
-		s.RunMLPsim(s.Workloads[0], cfg, annotate.Config{})
+		runOne(s, enginePoint(s.Workloads[0], cfg, annotate.Config{}))
 	}
-	s.RunCycleSim(s.Workloads[0], cyclesim.Default(400), annotate.Config{})
+	runOne(s, cyclePoint(s.Workloads[0], cyclesim.Default(400)))
 
 	st := s.Cache.Stats()
 	if st.Builds != 1 {
@@ -159,9 +164,9 @@ func TestCacheDeduplicatesAcrossRunners(t *testing.T) {
 
 // TestPrefetchConfigsAreCached: untrained deterministic hardware
 // prefetchers are part of the cache key, so a prefetch configuration gets
-// one shared annotation pass like any other, and the prefetcher
-// statistics are served from the stream's metadata — identical to what a
-// direct run's instances would report.
+// one shared annotation pass like any other, and the run's Result carries
+// the prefetcher statistics from the stream's metadata — identical to
+// what a direct run's instances would report.
 func TestPrefetchConfigsAreCached(t *testing.T) {
 	s := Quick(4)
 	s.Warmup = 50_000
@@ -171,25 +176,22 @@ func TestPrefetchConfigsAreCached(t *testing.T) {
 		return annotate.Config{DPrefetch: prefetch.NewStride(1024, 4)}
 	}
 
-	res := s.RunMLPsim(w, core.Default(), acfg())
-	if res.Instructions != s.Measure {
-		t.Errorf("cached run consumed %d instructions, want %d", res.Instructions, s.Measure)
+	res := runOne(s, enginePoint(w, core.Default(), acfg()))
+	if res.Engine.Instructions != s.Measure {
+		t.Errorf("cached run consumed %d instructions, want %d", res.Engine.Instructions, s.Measure)
 	}
 	if st := s.Cache.Stats(); st.Builds != 1 {
 		t.Errorf("prefetch config performed %d annotation passes, want 1 (stats %+v)", st.Builds, st)
 	}
-	_, dst := s.PrefetchStats(w, acfg())
+	dst := res.DPrefetch
 	if dst.Issued == 0 {
 		t.Error("stream metadata carries no data-prefetcher statistics")
-	}
-	if st := s.Cache.Stats(); st.Builds != 1 {
-		t.Errorf("PrefetchStats triggered a rebuild: %d annotation passes, want 1", st.Builds)
 	}
 
 	direct := s
 	direct.Cache = nil
 	dpf := prefetch.NewStride(1024, 4)
-	dres := direct.RunMLPsim(w, core.Default(), annotate.Config{DPrefetch: dpf})
+	dres := runOne(direct, enginePoint(w, core.Default(), annotate.Config{DPrefetch: dpf}))
 	if !reflect.DeepEqual(res, dres) {
 		t.Errorf("cached result differs from direct\ncached: %+v\ndirect: %+v", res, dres)
 	}
@@ -201,7 +203,7 @@ func TestPrefetchConfigsAreCached(t *testing.T) {
 // TestTrainedPrefetcherBypassesCache: an instance that has already seen
 // traffic cannot be keyed (its state is not derivable from the
 // configuration), so the run must fall back to the direct path and the
-// instance itself carries the statistics.
+// Result carries the instance's own statistics.
 func TestTrainedPrefetcherBypassesCache(t *testing.T) {
 	s := Quick(5)
 	s.Warmup = 50_000
@@ -211,19 +213,19 @@ func TestTrainedPrefetcherBypassesCache(t *testing.T) {
 	dpf := prefetch.NewStride(1024, 4)
 	direct := s
 	direct.Cache = nil
-	direct.RunMLPsim(w, core.Default(), annotate.Config{DPrefetch: dpf})
+	runOne(direct, enginePoint(w, core.Default(), annotate.Config{DPrefetch: dpf}))
 	if dpf.Untrained() {
 		t.Fatal("direct run left the prefetcher untrained")
 	}
 
-	res := s.RunMLPsim(w, core.Default(), annotate.Config{DPrefetch: dpf})
-	if res.Instructions != s.Measure {
-		t.Errorf("fallback run consumed %d instructions, want %d", res.Instructions, s.Measure)
+	res := runOne(s, enginePoint(w, core.Default(), annotate.Config{DPrefetch: dpf}))
+	if res.Engine.Instructions != s.Measure {
+		t.Errorf("fallback run consumed %d instructions, want %d", res.Engine.Instructions, s.Measure)
 	}
 	if st := s.Cache.Stats(); st.Builds != 0 || st.Misses != 0 {
 		t.Errorf("trained prefetcher config touched the cache (stats %+v); must use the direct path", st)
 	}
-	if _, dst := s.PrefetchStats(w, annotate.Config{DPrefetch: dpf}); dst != dpf.Stats() {
-		t.Errorf("PrefetchStats %+v, want the instance's own %+v", dst, dpf.Stats())
+	if res.DPrefetch != dpf.Stats() {
+		t.Errorf("result prefetch stats %+v, want the instance's own %+v", res.DPrefetch, dpf.Stats())
 	}
 }

@@ -1,6 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2.2, §2.3, §5): one runner per exhibit, each returning
-// typed rows plus a textual rendering in the paper's layout.
+// typed rows plus a textual rendering in the paper's layout. Every
+// exhibit is a pure plan of work points plus a render over their
+// results; one executor runs all plans (see execute.go).
 //
 // All runners are deterministic for a fixed Setup: the annotated stream
 // for a given (workload, annotation config, warmup, measure) is derived
@@ -20,8 +22,6 @@ import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
-	"mlpsim/internal/cyclesim"
-	"mlpsim/internal/prefetch"
 	"mlpsim/internal/smt"
 	"mlpsim/internal/workload"
 )
@@ -45,13 +45,13 @@ type Setup struct {
 	// configurations, so results are bit-identical to the direct path
 	// (see TestCachedPathMatchesDirect); nil re-annotates on every run.
 	Cache *atrace.Cache
-	// Ctx, when non-nil, cancels a sweep early: forEach stops handing out
-	// new points once Ctx is done, lets in-flight runs finish, and drains
-	// its worker pool. A cancelled sweep returns partial rows; callers
-	// that care (e.g. the HTTP server) must check Ctx.Err() and discard
-	// the result. Nil means run to completion.
+	// Ctx, when non-nil, cancels a sweep early: the executor stops handing
+	// out new points once Ctx is done, lets in-flight runs finish, and
+	// drains its worker pool. A cancelled sweep returns the exhibit's zero
+	// value; callers that care (e.g. the HTTP server) must check
+	// Ctx.Err() and discard the result. Nil means run to completion.
 	Ctx context.Context
-	// GangSize controls how RunMLPsimBatch gangs sweep points that share
+	// GangSize controls how the executor gangs engine points that share
 	// an annotated stream (same workload, annotation config, warmup and
 	// measure): 0 batches each shared-stream group into just enough gangs
 	// to keep every worker busy, 1 disables ganging (one engine per
@@ -71,11 +71,9 @@ type Setup struct {
 	// counters across ext-smtsched sweeps (the daemon exports them on
 	// /metrics).
 	SMTSched *SMTSchedStats
-	// shard, when non-nil, reroutes RunMLPsimBatch: coordinator mode
-	// (set via ShardedBy) splits each batch across peer replicas;
-	// executor mode (set by RunExhibitShard) runs only a requested
-	// shard. See shard.go.
-	shard *shardRun
+	// shard, when non-nil (set via ShardedBy), makes the executor fetch
+	// remotely-owned points from peer replicas. See shard.go.
+	shard ShardRouter
 }
 
 // SMTSchedStats accumulates scheduled-SMT policy counters across
@@ -186,78 +184,6 @@ func (s Setup) cachedStream(w workload.Config, acfg annotate.Config) (atrace.Tra
 		},
 	})
 	return st, true
-}
-
-// annotatedSource yields the instruction stream for one engine run:
-// a zero-allocation replay of the cached trace when possible, otherwise
-// a fresh annotator.
-func (s Setup) annotatedSource(w workload.Config, acfg annotate.Config) core.AnnotatedSource {
-	if st, ok := s.cachedStream(w, acfg); ok {
-		return st.Source()
-	}
-	return s.directAnnotator(w, acfg)
-}
-
-// AnnotateStats returns the annotator statistics over the measurement
-// window for (w, acfg), served from the shared cache when possible.
-func (s Setup) AnnotateStats(w workload.Config, acfg annotate.Config) annotate.Stats {
-	if st, ok := s.cachedStream(w, acfg); ok {
-		return st.Stats()
-	}
-	a := s.directAnnotator(w, acfg)
-	a.Collect(s.Measure)
-	return a.Stats()
-}
-
-// PrefetchStats returns the instruction- and data-prefetcher statistics
-// for (w, acfg). When the configuration is cacheable the stats are served
-// from the shared stream's metadata (the prefetchers ran once, inside the
-// annotation pass that built the stream); otherwise — untracked prefetcher
-// types, already-trained instances, or no cache — the caller's instances
-// carry the statistics themselves, trained by the direct run. The two
-// dispatch arms are mutually exclusive by construction: a trained instance
-// makes atrace.ConfigKey refuse the key, which is also what forces
-// RunMLPsim down the direct path. Zero stats are returned for absent
-// prefetchers.
-func (s Setup) PrefetchStats(w workload.Config, acfg annotate.Config) (ipf, dpf prefetch.Stats) {
-	if st, ok := s.cachedStream(w, acfg); ok {
-		ipf, _ = st.IPrefetchStats()
-		dpf, _ = st.DPrefetchStats()
-		return ipf, dpf
-	}
-	if p := acfg.IPrefetch; p != nil {
-		ipf = p.Stats()
-	}
-	if p := acfg.DPrefetch; p != nil {
-		dpf = p.Stats()
-	}
-	return ipf, dpf
-}
-
-// RunMLPsim generates, annotates and runs one MLPsim configuration.
-func (s Setup) RunMLPsim(w workload.Config, cfg core.Config, acfg annotate.Config) core.Result {
-	cfg.MaxInstructions = s.Measure
-	res := core.NewEngine(s.annotatedSource(w, acfg), cfg).Run()
-	s.noteDepStats(res)
-	return res
-}
-
-// RunCycleSim generates, annotates and runs one cycle-simulator
-// configuration.
-func (s Setup) RunCycleSim(w workload.Config, cfg cyclesim.Config, acfg annotate.Config) cyclesim.Result {
-	return s.RunCycleSimGang(w, []cyclesim.Config{cfg}, acfg)[0]
-}
-
-// RunCycleSimGang runs several cycle-simulator configurations over one
-// annotated stream as a lock-step gang: the stream is decoded and bound
-// once for all of them.
-func (s Setup) RunCycleSimGang(w workload.Config, cfgs []cyclesim.Config, acfg annotate.Config) []cyclesim.Result {
-	run := make([]cyclesim.Config, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.MaxInstructions = s.Measure
-		run[i] = cfg
-	}
-	return cyclesim.RunGang(s.annotatedSource(w, acfg), run)
 }
 
 // parallelism resolves the worker count.

@@ -3,116 +3,62 @@ package experiments
 import (
 	"fmt"
 	"sync"
-
-	"mlpsim/internal/core"
 )
 
 // Sharded sweeps.
 //
-// Every exhibit is deterministic for a fixed Setup: the sweep points of
-// the batch-th RunMLPsimBatch call are a pure function of (exhibit,
-// seed, warmup, measure). Peer replicas exploit that: a coordinator
-// never serializes points over the wire — it sends only (exhibit,
-// batch ordinal, point indices), and the peer re-derives the identical
-// points by running the same exhibit code up to that batch. Results are
-// bit-identical by the engine's determinism, so shard placement is
-// purely a scheduling decision.
+// An exhibit's plan is a pure function of (exhibit, seed, warmup,
+// measure), so the tuple plus a point index addresses one unit of work
+// on any replica. Peer replicas exploit that: a coordinator never
+// serializes points over the wire — it sends only (exhibit, indices),
+// and the peer plans the same exhibit and executes just those points.
+// Results are bit-identical by the simulators' determinism, so shard
+// placement is purely a scheduling decision.
 //
-// Two modes share one hook on Setup:
+//   - Coordinator: ShardedBy(router) makes the executor ask the router
+//     which replica owns each point, fetch remote shards while the local
+//     shard runs, and fall back to local execution for any shard a peer
+//     cannot answer. The merged results are indistinguishable from a
+//     solo run.
+//   - Executor: RunExhibitShard plans the exhibit and executes only the
+//     requested points — no earlier work is replayed.
 //
-//   - Coordinator: ShardedBy(router) makes RunMLPsimBatch ask the
-//     router which replica owns each point, fetch remote shards while
-//     the local shard runs, and fall back to local execution for any
-//     shard a peer cannot answer. The merged slice is indistinguishable
-//     from a solo run.
-//   - Executor: RunExhibitShard runs an exhibit with a capture hook
-//     that executes only the requested indices of the requested batch,
-//     then aborts the exhibit — a peer answering for batch 0 of a
-//     multi-batch exhibit never pays for the later batches.
-//
-// A peer executing a shard never re-shards (the executor hook carries
-// no router), so requests cannot recurse through the fleet.
+// A peer executing a shard never re-shards (RunExhibitShard drops the
+// router), so requests cannot recurse through the fleet.
 
 // ShardRouter decides point placement for a sharded sweep and fetches
 // remotely-owned results. Implementations (the daemon's peer registry)
 // must be safe for concurrent use.
 type ShardRouter interface {
 	// Owner returns the id of the replica owning point `index` of the
-	// batch-th RunMLPsimBatch call of the current exhibit run, or ""
-	// when this replica owns the point itself.
-	Owner(batch, index int) string
-	// Fetch retrieves the results for the given point indices of the
-	// batch-th call from the owning replica, in request order. An error
-	// (or a short reply) makes the coordinator run those points
-	// locally instead.
-	Fetch(owner string, batch int, indices []int) ([]core.Result, error)
+	// current exhibit's plan, or "" when this replica owns it itself.
+	Owner(index int) string
+	// Fetch retrieves the results for the given point indices of a plan
+	// of planLen points from the owning replica, in request order. An
+	// error makes the coordinator run those points locally instead;
+	// implementations must reject a peer whose plan length differs.
+	Fetch(owner string, planLen int, indices []int) ([]Result, error)
 }
 
-// shardRun is the per-exhibit-run sharding state: the batch ordinal
-// counter plus exactly one of router (coordinator) or cap (executor).
-// Setup is passed by value, so the mutable counter lives behind this
-// pointer.
-type shardRun struct {
-	router ShardRouter
-	batch  int
-	cap    *shardCapture
-}
-
-// shardCapture is the executor hook: execute only `indices` of batch
-// `want`, record the results, abort the exhibit.
-type shardCapture struct {
-	want     int
-	indices  []int
-	results  []core.Result // len == batchLen; only requested indices filled
-	batchLen int
-	captured bool
-}
-
-// shardAbort unwinds the exhibit once the wanted batch is captured.
-type shardAbort struct{}
-
-// ShardedBy returns a copy of s whose RunMLPsimBatch calls are sharded
-// through r. Each returned Setup carries a fresh batch-ordinal counter,
-// so use one per exhibit run.
+// ShardedBy returns a copy of s whose exhibit runs are sharded through r.
 func (s Setup) ShardedBy(r ShardRouter) Setup {
-	if r != nil {
-		s.shard = &shardRun{router: r}
-	}
+	s.shard = r
 	return s
 }
 
-// RunMLPsimBatch runs every point and returns results in point order,
-// bit-identical to calling RunMLPsim per point. Points that share an
-// annotated stream are grouped and dispatched as gangs; Parallelism
-// bounds concurrent gangs, not points. Under ShardedBy, remotely-owned
-// points are fetched from peers instead of run (bit-identical either
-// way); under RunExhibitShard only the requested shard executes.
-func (s Setup) RunMLPsimBatch(points []MLPPoint) []core.Result {
-	if sh := s.shard; sh != nil {
-		batch := sh.batch
-		sh.batch++
-		if sh.cap != nil {
-			return s.shardCaptureBatch(sh.cap, batch, points)
-		}
-		return s.runBatchSharded(sh.router, batch, points)
-	}
-	return s.runBatchLocal(points)
-}
-
-// runBatchSharded splits a batch by ownership: the local shard (plus
-// anything the router declines) runs through the normal gang path while
+// executeSharded splits the points by ownership: the local shard (plus
+// anything the router declines) runs through the normal executor while
 // remote shards are fetched concurrently. Points carrying an OnEpoch
 // callback never offload — funcs do not travel, and the caller's
 // collector must observe the epochs.
-func (s Setup) runBatchSharded(r ShardRouter, batch int, points []MLPPoint) []core.Result {
-	results := make([]core.Result, len(points))
-	local := make([]int, 0, len(points))
+func (s Setup) executeSharded(points []Point, results []Result) {
+	var local []int
 	remote := make(map[string][]int)
 	var owners []string
 	for i, p := range points {
 		owner := ""
-		if p.Config.OnEpoch == nil {
-			owner = r.Owner(batch, i)
+		if p.Engine.OnEpoch == nil {
+			owner = s.shard.Owner(i)
 		}
 		if owner == "" {
 			local = append(local, i)
@@ -124,122 +70,83 @@ func (s Setup) runBatchSharded(r ShardRouter, batch int, points []MLPPoint) []co
 		remote[owner] = append(remote[owner], i)
 	}
 
-	runLocal := func(idxs []int) {
-		if len(idxs) == 0 {
-			return
-		}
-		sub := make([]MLPPoint, len(idxs))
-		for k, i := range idxs {
-			sub[k] = points[i]
-		}
-		rs := s.runBatchLocal(sub)
-		for k, i := range idxs {
-			results[i] = rs[k]
-		}
-	}
-
 	// Fetch remote shards while the local shard computes. A peer that
-	// errors or answers short hands its indices back for local
-	// execution after the barrier — the sweep always completes.
+	// errors or answers with results that do not fit the points hands
+	// its indices back for local execution after the barrier — the
+	// sweep always completes.
 	fallback := make([][]int, len(owners))
 	var wg sync.WaitGroup
 	for oi, owner := range owners {
 		wg.Add(1)
 		go func(oi int, owner string, idxs []int) {
 			defer wg.Done()
-			rs, err := r.Fetch(owner, batch, idxs)
+			rs, err := s.shard.Fetch(owner, len(points), idxs)
 			if err != nil || len(rs) != len(idxs) {
 				fallback[oi] = idxs
 				return
 			}
 			for k, i := range idxs {
+				if !fits(points[i], rs[k]) {
+					fallback[oi] = idxs
+					return
+				}
+			}
+			for k, i := range idxs {
 				results[i] = rs[k]
-				s.noteDepStats(rs[k])
 			}
 		}(oi, owner, remote[owner])
 	}
-	runLocal(local)
+	s.executeLocal(points, local, results)
 	wg.Wait()
+	var retry []int
 	for _, idxs := range fallback {
-		runLocal(idxs)
+		retry = append(retry, idxs...)
 	}
-	return results
+	s.executeLocal(points, retry, results)
 }
 
-// shardCaptureBatch is the executor side: batches before the wanted one
-// run in full (later points may depend on them), the wanted batch runs
-// only its requested indices and then aborts the exhibit.
-func (s Setup) shardCaptureBatch(c *shardCapture, batch int, points []MLPPoint) []core.Result {
-	if batch < c.want {
-		return s.runBatchLocal(points)
+// fits reports whether a fetched result has the shape its point's
+// render indexes, so a peer running a diverged plan degrades to local
+// execution instead of a crash.
+func fits(p Point, r Result) bool {
+	switch p.Kind {
+	case CycleGang:
+		return len(r.Cycle) == len(p.Cycle)
+	case MissDistance:
+		return len(r.DistanceCDF) == len(missDistanceProbes)
+	case SMTRun:
+		k := len(p.SMT.Threads)
+		return len(r.SMT.PerThread) == k && len(r.SMT.SoloMissRate) == k && len(r.SMT.SharedMissRate) == k
+	case SMTSchedule:
+		return len(r.Sched) == len(p.Policies)
 	}
-	if batch > c.want {
-		// Unreachable in practice — capturing the wanted batch aborts —
-		// but stay total: later batches yield zero results.
-		return make([]core.Result, len(points))
-	}
-	c.batchLen = len(points)
-	c.captured = true
-	idxs := make([]int, 0, len(c.indices))
-	for _, i := range c.indices {
-		if i >= 0 && i < len(points) {
-			idxs = append(idxs, i)
-		}
-	}
-	sub := make([]MLPPoint, len(idxs))
-	for k, i := range idxs {
-		sub[k] = points[i]
-	}
-	rs := s.runBatchLocal(sub)
-	c.results = make([]core.Result, len(points))
-	for k, i := range idxs {
-		c.results[i] = rs[k]
-	}
-	panic(shardAbort{})
+	return true
 }
 
 // RunExhibitShard executes only the requested point indices of the
-// batch-th RunMLPsimBatch call of the named exhibit, returning their
-// results in request order plus the batch's total point count (the
-// coordinator cross-validates it against its own batch). The exhibit is
-// aborted as soon as the shard is captured. Errors are returned for
-// unknown exhibits, an out-of-range batch or index, and cancelled
-// contexts — the coordinator falls back to local execution on any of
-// them.
-func RunExhibitShard(s Setup, name string, batch int, indices []int) ([]core.Result, int, error) {
-	if batch < 0 {
-		return nil, 0, fmt.Errorf("experiments: negative batch %d", batch)
-	}
+// named exhibit's plan, returning their results in request order plus
+// the plan's total point count (the coordinator cross-validates it
+// against its own plan). Errors are returned for unknown exhibits, an
+// out-of-range index, and cancelled contexts — the coordinator falls
+// back to local execution on any of them.
+func RunExhibitShard(s Setup, name string, indices []int) ([]Result, int, error) {
 	runner := Find(name)
 	if runner == nil {
 		return nil, 0, fmt.Errorf("experiments: unknown exhibit %q", name)
 	}
-	c := &shardCapture{want: batch, indices: append([]int(nil), indices...)}
-	s.shard = &shardRun{cap: c}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(shardAbort); !ok {
-					panic(r)
-				}
-			}
-		}()
-		runner.Run(s)
-	}()
-	if err := s.Context().Err(); err != nil {
-		return nil, c.batchLen, err
-	}
-	if !c.captured {
-		return nil, 0, fmt.Errorf("experiments: exhibit %q ran only %d batch(es); batch %d never happened",
-			name, s.shard.batch, batch)
-	}
-	out := make([]core.Result, len(indices))
+	points, _ := runner.plan(s)
+	sub := make([]Point, len(indices))
 	for k, i := range indices {
-		if i < 0 || i >= c.batchLen {
-			return nil, c.batchLen, fmt.Errorf("experiments: point index %d out of range (batch %d has %d points)",
-				i, batch, c.batchLen)
+		if i < 0 || i >= len(points) {
+			return nil, len(points), fmt.Errorf("experiments: point index %d out of range (plan has %d points)",
+				i, len(points))
 		}
-		out[k] = c.results[i]
+		sub[k] = points[i]
 	}
-	return out, c.batchLen, nil
+	s.shard = nil
+	results := s.execute(sub)
+	if err := s.Context().Err(); err != nil {
+		return nil, len(points), err
+	}
+	return results, len(points), nil
 }

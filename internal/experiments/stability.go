@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/stats"
 )
@@ -27,7 +26,9 @@ type Stability struct {
 const StabilitySeeds = 5
 
 // RunStability executes the experiment.
-func RunStability(s Setup) Stability {
+func RunStability(s Setup) Stability { return run(s, planStability) }
+
+func planStability(s Setup) ([]Point, func([]Result) Stability) {
 	configs := []struct {
 		name string
 		cfg  core.Config
@@ -35,39 +36,37 @@ func RunStability(s Setup) Stability {
 		{"64C", core.Default()},
 		{"RAE", core.Default().WithIssue(core.ConfigD).WithRunahead()},
 	}
-	type job struct{ wi, ci, si int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, c := range configs {
 			for si := 0; si < StabilitySeeds; si++ {
-				jobs = append(jobs, job{wi, ci, si})
+				points = append(points, Point{Kind: EngineRun,
+					Workload: w.WithSeed(s.Seed + int64(si)*7919), Engine: c.cfg})
 			}
 		}
 	}
-	mlps := make([]float64, len(jobs))
-	rates := make([]float64, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		w := s.Workloads[j.wi].WithSeed(s.Seed + int64(j.si)*7919)
-		res := s.RunMLPsim(w, configs[j.ci].cfg, annotate.Config{})
-		mlps[i] = res.MLP()
-		rates[i] = res.MissRatePer100()
-	})
-
-	var rows []StabilityRow
-	i := 0
-	for wi := range s.Workloads {
-		for ci := range configs {
-			rows = append(rows, StabilityRow{
-				Workload: s.Workloads[wi].Name,
-				Config:   configs[ci].name,
-				MLP:      stats.Summarize(mlps[i : i+StabilitySeeds]),
-				MissRate: stats.Summarize(rates[i : i+StabilitySeeds]),
-			})
-			i += StabilitySeeds
+	return points, func(rs []Result) Stability {
+		mlps := make([]float64, len(rs))
+		rates := make([]float64, len(rs))
+		for i := range rs {
+			mlps[i] = rs[i].Engine.MLP()
+			rates[i] = rs[i].Engine.MissRatePer100()
 		}
+		var rows []StabilityRow
+		i := 0
+		for _, w := range s.Workloads {
+			for _, c := range configs {
+				rows = append(rows, StabilityRow{
+					Workload: w.Name,
+					Config:   c.name,
+					MLP:      stats.Summarize(mlps[i : i+StabilitySeeds]),
+					MissRate: stats.Summarize(rates[i : i+StabilitySeeds]),
+				})
+				i += StabilitySeeds
+			}
+		}
+		return Stability{Seeds: StabilitySeeds, Rows: rows}
 	}
-	return Stability{Seeds: StabilitySeeds, Rows: rows}
 }
 
 // String renders the error bars.

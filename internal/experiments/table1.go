@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/cpi"
 	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/workload"
@@ -33,32 +32,29 @@ func (c Characterization) Params() cpi.Params {
 	}
 }
 
-// Characterize measures one workload at one latency with two cycle-
-// simulator runs (realistic and perfect L2), deriving Overlap_CM from the
-// CPI equation exactly as §2.2 prescribes.
-func (s Setup) Characterize(w workload.Config, penalty int) Characterization {
-	c := s.characterize(w, cyclesim.Default(penalty))
-	c.CPIOnChip = c.CPIPerf * (1 - c.OverlapCM)
-	c.CPIOffChip = c.CPI - c.CPIOnChip
-	return c
-}
-
-// characterize runs cfg and its perfect-L2 twin as one gang over w's
-// stream and derives the CPI decomposition's parameters from the pair.
-func (s Setup) characterize(w workload.Config, cfg cyclesim.Config) Characterization {
+// charPoint is the work behind one characterization: cfg and its
+// perfect-L2 twin as one cycle-simulator gang over w's stream.
+func charPoint(w workload.Config, cfg cyclesim.Config) Point {
 	perfect := cfg
 	perfect.PerfectL2 = true
-	res := s.RunCycleSimGang(w, []cyclesim.Config{cfg, perfect}, annotate.Config{})
-	meas, perf := res[0], res[1]
+	return Point{Kind: CycleGang, Workload: w, Cycle: []cyclesim.Config{cfg, perfect}}
+}
+
+// characterization derives a charPoint's CPI decomposition, with
+// Overlap_CM from the CPI equation exactly as §2.2 prescribes.
+func characterization(p Point, r Result) Characterization {
+	meas, perf := r.Cycle[0], r.Cycle[1]
 	c := Characterization{
-		Workload:       w.Name,
-		Penalty:        cfg.MissPenalty,
+		Workload:       p.Workload.Name,
+		Penalty:        p.Cycle[0].MissPenalty,
 		CPI:            meas.CPI(),
 		CPIPerf:        perf.CPI(),
 		MissRatePer100: meas.MissRatePer100(),
 		MLP:            meas.MLP,
 	}
-	c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, float64(cfg.MissPenalty), c.MLP)
+	c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, float64(c.Penalty), c.MLP)
+	c.CPIOnChip = c.CPIPerf * (1 - c.OverlapCM)
+	c.CPIOffChip = c.CPI - c.CPIOnChip
 	return c
 }
 
@@ -69,22 +65,22 @@ type Table1 struct {
 }
 
 // RunTable1 executes the experiment.
-func RunTable1(s Setup) Table1 {
-	type job struct {
-		w       workload.Config
-		penalty int
-	}
-	var jobs []job
+func RunTable1(s Setup) Table1 { return run(s, planTable1) }
+
+func planTable1(s Setup) ([]Point, func([]Result) Table1) {
+	var points []Point
 	for _, w := range s.Workloads {
 		for _, p := range []int{200, 1000} {
-			jobs = append(jobs, job{w, p})
+			points = append(points, charPoint(w, cyclesim.Default(p)))
 		}
 	}
-	rows := make([]Characterization, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		rows[i] = s.Characterize(jobs[i].w, jobs[i].penalty)
-	})
-	return Table1{Rows: rows}
+	return points, func(rs []Result) Table1 {
+		rows := make([]Characterization, len(rs))
+		for i, r := range rs {
+			rows[i] = characterization(points[i], r)
+		}
+		return Table1{Rows: rows}
+	}
 }
 
 // String renders the table in the paper's column order.

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/cyclesim"
-	"mlpsim/internal/workload"
 )
 
 // Table3Row is one (workload, window, config) validation cell: the cycle
@@ -31,50 +29,50 @@ var Table3Latencies = []int{200, 500, 1000}
 // RunTable3 executes the validation matrix: windows 32/64/128 and issue
 // configurations A/B/C (the cycle simulator cannot model out-of-order
 // branches, exactly like the paper's).
-func RunTable3(s Setup) Table3 {
-	windows := []int{32, 64, 128}
-	configs := []core.IssueConfig{core.ConfigA, core.ConfigB, core.ConfigC}
+func RunTable3(s Setup) Table3 { return run(s, planTable3) }
 
-	type job struct {
-		w      workload.Config
-		window int
-		issue  core.IssueConfig
-	}
-	var jobs []job
+// planTable3 lists one MLPsim point per cell, then per cell one cycle-
+// simulator gang over the three latencies (one stream, one decode).
+func planTable3(s Setup) ([]Point, func([]Result) Table3) {
+	var jobs []Point // the MLPsim point of each cell
 	for _, w := range s.Workloads {
-		for _, win := range windows {
-			for _, ic := range configs {
-				jobs = append(jobs, job{w, win, ic})
+		for _, win := range []int{32, 64, 128} {
+			for _, ic := range []core.IssueConfig{core.ConfigA, core.ConfigB, core.ConfigC} {
+				jobs = append(jobs, Point{Kind: EngineRun, Workload: w,
+					Engine: core.Default().WithWindow(win).WithIssue(ic)})
 			}
 		}
 	}
-	rows := make([]Table3Row, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		row := Table3Row{Workload: j.w.Name, Window: j.window, Issue: j.issue}
-		mres := s.RunMLPsim(j.w, core.Default().WithWindow(j.window).WithIssue(j.issue),
-			annotate.Config{})
-		row.MLPsim = mres.MLP()
+	n := len(jobs)
+	points := append([]Point(nil), jobs...)
+	for _, j := range jobs {
 		cfgs := make([]cyclesim.Config, len(Table3Latencies))
 		for k, pen := range Table3Latencies {
 			cfgs[k] = cyclesim.Default(pen)
-			cfgs[k].IssueWindow, cfgs[k].ROB = j.window, j.window
-			cfgs[k].Issue = j.issue
+			cfgs[k].IssueWindow, cfgs[k].ROB = j.Engine.IssueWindow, j.Engine.ROB
+			cfgs[k].Issue = j.Engine.Issue
 		}
-		// The three latencies share one stream: one gang, one decode.
-		for k, cres := range s.RunCycleSimGang(j.w, cfgs, annotate.Config{}) {
-			switch Table3Latencies[k] {
-			case 200:
-				row.CycleSim200 = cres.MLP
-			case 500:
-				row.CycleSim500 = cres.MLP
-			case 1000:
-				row.CycleSim1000 = cres.MLP
+		points = append(points, Point{Kind: CycleGang, Workload: j.Workload, Cycle: cfgs})
+	}
+	return points, func(rs []Result) Table3 {
+		rows := make([]Table3Row, n)
+		for i, j := range jobs {
+			row := Table3Row{Workload: j.Workload.Name, Window: j.Engine.ROB, Issue: j.Engine.Issue,
+				MLPsim: rs[i].Engine.MLP()}
+			for k, cres := range rs[n+i].Cycle {
+				switch Table3Latencies[k] {
+				case 200:
+					row.CycleSim200 = cres.MLP
+				case 500:
+					row.CycleSim500 = cres.MLP
+				case 1000:
+					row.CycleSim1000 = cres.MLP
+				}
 			}
+			rows[i] = row
 		}
-		rows[i] = row
-	})
-	return Table3{Rows: rows}
+		return Table3{Rows: rows}
+	}
 }
 
 // String renders the validation matrix.

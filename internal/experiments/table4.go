@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/cyclesim"
-	"mlpsim/internal/workload"
 )
 
 // Table4Row validates the CPI equation for one (workload, issue config):
@@ -29,56 +27,41 @@ type Table4 struct {
 const Table4Penalty = 1000
 
 // RunTable4 executes the experiment.
-func RunTable4(s Setup) Table4 {
+func RunTable4(s Setup) Table4 { return run(s, planTable4) }
+
+// planTable4 lists the cycle-simulator characterization of every
+// (workload, issue config), then the matching MLPsim runs.
+func planTable4(s Setup) ([]Point, func([]Result) Table4) {
 	configs := []core.IssueConfig{core.ConfigA, core.ConfigB, core.ConfigC}
-
-	type char struct {
-		params   [3]Characterization
-		measured [3]float64
-	}
-	chars := make([]char, len(s.Workloads))
-	type job struct{ wi, ci int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
-			jobs = append(jobs, job{wi, ci})
-		}
-	}
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		chars[j.wi].params[j.ci] = s.characterizeConfig(s.Workloads[j.wi], configs[j.ci])
-		chars[j.wi].measured[j.ci] = chars[j.wi].params[j.ci].CPI
-	})
-
-	mlps := make([][3]core.Result, len(s.Workloads))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		mlps[j.wi][j.ci] = s.RunMLPsim(s.Workloads[j.wi],
-			core.Default().WithIssue(configs[j.ci]), annotate.Config{})
-	})
-
-	var rows []Table4Row
+	nc := len(configs)
+	n := len(s.Workloads) * nc
+	points := make([]Point, 2*n)
 	for wi, w := range s.Workloads {
 		for ci, ic := range configs {
-			row := Table4Row{Workload: w.Name, Issue: ic, Measured: chars[wi].measured[ci]}
-			m := &mlps[wi][ci]
-			for pi := range configs {
-				p := chars[wi].params[pi].Params()
-				p.MissRatePer100 = m.MissRatePer100()
-				row.EstimatedUsing[pi] = p.Estimate(m.MLP())
-			}
-			rows = append(rows, row)
+			cfg := cyclesim.Default(Table4Penalty)
+			cfg.Issue = ic
+			points[wi*nc+ci] = charPoint(w, cfg)
+			points[n+wi*nc+ci] = Point{Kind: EngineRun, Workload: w, Engine: core.Default().WithIssue(ic)}
 		}
 	}
-	return Table4{Rows: rows}
-}
-
-// characterizeConfig is Characterize with a non-default issue
-// configuration at the Table 4 penalty.
-func (s Setup) characterizeConfig(w workload.Config, ic core.IssueConfig) Characterization {
-	cfg := cyclesim.Default(Table4Penalty)
-	cfg.Issue = ic
-	return s.characterize(w, cfg)
+	return points, func(rs []Result) Table4 {
+		var rows []Table4Row
+		for wi, w := range s.Workloads {
+			base := wi * nc
+			for ci, ic := range configs {
+				row := Table4Row{Workload: w.Name, Issue: ic,
+					Measured: characterization(points[base+ci], rs[base+ci]).CPI}
+				m := &rs[n+base+ci].Engine
+				for pi := range configs {
+					p := characterization(points[base+pi], rs[base+pi]).Params()
+					p.MissRatePer100 = m.MissRatePer100()
+					row.EstimatedUsing[pi] = p.Estimate(m.MLP())
+				}
+				rows = append(rows, row)
+			}
+		}
+		return Table4{Rows: rows}
+	}
 }
 
 // String renders the comparison.

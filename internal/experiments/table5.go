@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Table5Row holds the in-order MLP of one workload.
 type Table5Row struct {
@@ -18,29 +15,23 @@ type Table5 struct {
 }
 
 // RunTable5 executes the experiment.
-func RunTable5(s Setup) Table5 {
-	rows := make([]Table5Row, len(s.Workloads))
-	for i, w := range s.Workloads {
-		rows[i].Workload = w.Name
-	}
-	points := make([]MLPPoint, len(s.Workloads)*2)
-	for i := range points {
-		wi, mode := i/2, i%2
-		cfg := core.Config{Mode: core.InOrderStallOnMiss}
-		if mode == 1 {
-			cfg.Mode = core.InOrderStallOnUse
-		}
-		points[i] = MLPPoint{Workload: s.Workloads[wi], Config: cfg, Annot: annotate.Config{}}
-	}
-	results := s.RunMLPsimBatch(points)
-	for i, res := range results {
-		if wi := i / 2; i%2 == 0 {
-			rows[wi].StallOnMiss = res.MLP()
-		} else {
-			rows[wi].StallOnUse = res.MLP()
+func RunTable5(s Setup) Table5 { return run(s, planTable5) }
+
+// planTable5 lists stall-on-miss then stall-on-use per workload.
+func planTable5(s Setup) ([]Point, func([]Result) Table5) {
+	var points []Point
+	for _, w := range s.Workloads {
+		for _, mode := range []core.WindowMode{core.InOrderStallOnMiss, core.InOrderStallOnUse} {
+			points = append(points, Point{Kind: EngineRun, Workload: w, Engine: core.Config{Mode: mode}})
 		}
 	}
-	return Table5{Rows: rows}
+	return points, func(rs []Result) Table5 {
+		rows := make([]Table5Row, len(s.Workloads))
+		for i, w := range s.Workloads {
+			rows[i] = Table5Row{Workload: w.Name, StallOnMiss: rs[2*i].Engine.MLP(), StallOnUse: rs[2*i+1].Engine.MLP()}
+		}
+		return Table5{Rows: rows}
+	}
 }
 
 // String renders the table.

@@ -21,16 +21,21 @@ type Table6 struct {
 }
 
 // RunTable6 executes the experiment.
-func RunTable6(s Setup) Table6 {
-	rows := make([]Table6Row, len(s.Workloads))
-	s.forEach(len(s.Workloads), func(i int) {
-		w := s.Workloads[i]
-		acfg := annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}
-		st := s.AnnotateStats(w, acfg).VP
-		c, wr, np := st.Fractions()
-		rows[i] = Table6Row{Workload: w.Name, Correct: c, Wrong: wr, NoPredict: np}
-	})
-	return Table6{Rows: rows}
+func RunTable6(s Setup) Table6 { return run(s, planTable6) }
+
+func planTable6(s Setup) ([]Point, func([]Result) Table6) {
+	points := make([]Point, len(s.Workloads))
+	for i, w := range s.Workloads {
+		points[i] = Point{Kind: StreamStats, Workload: w, Annot: annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}}
+	}
+	return points, func(rs []Result) Table6 {
+		rows := make([]Table6Row, len(rs))
+		for i, r := range rs {
+			c, wr, np := r.Annot.VP.Fractions()
+			rows[i] = Table6Row{Workload: s.Workloads[i].Name, Correct: c, Wrong: wr, NoPredict: np}
+		}
+		return Table6{Rows: rows}
+	}
 }
 
 // String renders the table.

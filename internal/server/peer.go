@@ -9,9 +9,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 
-	"mlpsim/internal/core"
 	"mlpsim/internal/experiments"
 	"mlpsim/internal/workload"
 )
@@ -20,19 +18,19 @@ import (
 //
 // N daemon replicas cooperate on one exhibit: every replica builds the
 // same consistent-hash ring over the fleet's ids, so for any result key
-// (exhibit, seed, warmup, measure) plus batch ordinal and point index
-// they all agree on the owner without coordination. A replica answering
-// GET /v1/exhibits/{name} runs its own shard of the sweep while
-// fetching remotely-owned shards over GET /v1/peer/points; peers
-// re-derive the points deterministically from the key alone, so only
-// (exhibit, batch, indices) and the resulting []core.Result travel the
-// wire. Any fetch failure — dead peer, mismatched batch geometry, short
-// reply — falls back to local execution, so a degraded fleet is slower,
-// never wrong, and the merged response stays byte-identical to a solo
-// daemon's.
+// (exhibit, seed, warmup, measure) plus a point index of the exhibit's
+// plan they all agree on the owner without coordination. A replica
+// answering GET /v1/exhibits/{name} runs its own share of the plan while
+// fetching remotely-owned points over GET /v1/peer/points; plans are a
+// pure function of the key, so only (exhibit, indices) and the resulting
+// []experiments.Result travel the wire. Any fetch failure — dead peer,
+// a plan length that differs from the coordinator's, a short or
+// malformed reply — falls back to local execution, so a degraded fleet
+// is slower, never wrong, and the merged response stays byte-identical
+// to a solo daemon's.
 //
-// The peer-points endpoint itself never re-shards (the executor hook
-// carries no router), so requests cannot recurse through the fleet.
+// The peer-points endpoint itself never re-shards (RunExhibitShard
+// drops the router), so requests cannot recurse through the fleet.
 
 // Peer identifies one replica of the fleet.
 type Peer struct {
@@ -42,58 +40,44 @@ type Peer struct {
 	URL string
 }
 
-// maxPeerPoints bounds one peer-points request; a full sweep batch is
+// maxPeerPoints bounds one peer-points request; a full exhibit plan is
 // far below this.
 const maxPeerPoints = 65536
 
-// peerPointsResponse is the wire format of /v1/peer/points.
+// peerPointsResponse is the wire format of /v1/peer/points. The length
+// field is deliberately not the batch protocol's "batch_len", so mixed
+// versions degrade instead of trusting each other: a batch-protocol
+// coordinator reads a zero batch length from this reply, and
+// decodePeerReply refuses a batch-protocol reply's unknown fields. Both
+// fall back to local execution.
 type peerPointsResponse struct {
-	// BatchLen is the peer's total point count for the batch; the
-	// coordinator cross-validates it against its own batch geometry.
-	BatchLen int `json:"batch_len"`
+	// PlanLen is the peer's point count for the exhibit's plan; the
+	// coordinator cross-validates it against its own plan.
+	PlanLen int `json:"plan_len"`
 	// Results carries the executed points, in request order.
-	Results []core.Result `json:"results"`
+	Results []experiments.Result `json:"results"`
 }
 
-// peerRouter routes one exhibit run's sweep points across the fleet.
-// It implements experiments.ShardRouter.
+// peerRouter routes one exhibit run's points across the fleet. It
+// implements experiments.ShardRouter.
 type peerRouter struct {
 	s   *Server
 	ctx context.Context
 	key resultKey
-
-	mu   sync.Mutex
-	lens map[int]int // batch ordinal -> observed local batch length
 }
 
-func (s *Server) newPeerRouter(ctx context.Context, key resultKey) *peerRouter {
-	return &peerRouter{s: s, ctx: ctx, key: key, lens: make(map[int]int)}
-}
-
-// pointKey is the ring key for one sweep point: the result-cache key
-// plus the point's coordinates within the run.
-func (r *peerRouter) pointKey(batch, index int) string {
-	return fmt.Sprintf("%s#b%d#p%d", r.key, batch, index)
-}
-
-func (r *peerRouter) Owner(batch, index int) string {
-	// Owner is consulted for every point of the batch in order, which
-	// makes max(index)+1 the batch length — remembered here and checked
-	// against the peer's own derivation before results are trusted.
-	r.mu.Lock()
-	if index+1 > r.lens[batch] {
-		r.lens[batch] = index + 1
-	}
-	r.mu.Unlock()
-	id := r.s.ring.owner(r.pointKey(batch, index))
+// Owner hashes the point's ring key: the result-cache key plus the
+// point's index in the exhibit's plan.
+func (r *peerRouter) Owner(index int) string {
+	id := r.s.ring.owner(fmt.Sprintf("%s#p%d", r.key, index))
 	if id == r.s.opts.PeerID {
 		return ""
 	}
 	return id
 }
 
-func (r *peerRouter) Fetch(owner string, batch int, indices []int) ([]core.Result, error) {
-	res, err := r.fetch(owner, batch, indices)
+func (r *peerRouter) Fetch(owner string, planLen int, indices []int) ([]experiments.Result, error) {
+	res, err := r.fetch(owner, planLen, indices)
 	if err != nil {
 		r.s.metrics.peerFetchErrors.Add(1)
 		return nil, err
@@ -102,7 +86,7 @@ func (r *peerRouter) Fetch(owner string, batch int, indices []int) ([]core.Resul
 	return res, nil
 }
 
-func (r *peerRouter) fetch(owner string, batch int, indices []int) ([]core.Result, error) {
+func (r *peerRouter) fetch(owner string, planLen int, indices []int) ([]experiments.Result, error) {
 	r.s.metrics.peerFetches.Add(1)
 	p, ok := r.s.peers[owner]
 	if !ok {
@@ -117,7 +101,6 @@ func (r *peerRouter) fetch(owner string, batch int, indices []int) ([]core.Resul
 		"seed":    {strconv.FormatInt(r.key.Seed, 10)},
 		"warmup":  {strconv.FormatInt(r.key.Warmup, 10)},
 		"measure": {strconv.FormatInt(r.key.Measure, 10)},
-		"batch":   {strconv.Itoa(batch)},
 		"points":  {strings.Join(pts, ",")},
 	}
 	u := strings.TrimSuffix(p.URL, "/") + "/v1/peer/points?" + q.Encode()
@@ -134,24 +117,38 @@ func (r *peerRouter) fetch(owner string, batch int, indices []int) ([]core.Resul
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("peer %s: %s: %s", owner, resp.Status, strings.TrimSpace(string(body)))
 	}
+	rs, err := decodePeerReply(resp.Body, planLen, len(indices))
+	if err != nil {
+		return nil, fmt.Errorf("peer %s: %w", owner, err)
+	}
+	return rs, nil
+}
+
+// decodePeerReply decodes one /v1/peer/points reply and accepts it only
+// when it is a single well-formed JSON object with no unknown fields,
+// its plan length is the coordinator's planLen, and it carries exactly
+// n results.
+func decodePeerReply(r io.Reader, planLen, n int) ([]experiments.Result, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var pr peerPointsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("peer %s: decode: %w", owner, err)
+	if err := dec.Decode(&pr); err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
 	}
-	r.mu.Lock()
-	want := r.lens[batch]
-	r.mu.Unlock()
-	if pr.BatchLen != want {
-		return nil, fmt.Errorf("peer %s derived %d points for batch %d, coordinator has %d — geometry mismatch",
-			owner, pr.BatchLen, batch, want)
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("decode: trailing data after the reply")
 	}
-	if len(pr.Results) != len(indices) {
-		return nil, fmt.Errorf("peer %s returned %d results for %d requested points", owner, len(pr.Results), len(indices))
+	if pr.PlanLen != planLen {
+		return nil, fmt.Errorf("peer planned %d points, coordinator has %d — plan mismatch", pr.PlanLen, planLen)
+	}
+	if len(pr.Results) != n {
+		return nil, fmt.Errorf("%d results for %d requested points", len(pr.Results), n)
 	}
 	return pr.Results, nil
 }
 
-// parsePoints parses the comma-separated point index list.
+// parsePoints parses the comma-separated point index list; each index
+// must be a canonical non-negative decimal (no sign, no leading zeros).
 func parsePoints(s string) ([]int, error) {
 	if s == "" {
 		return nil, fmt.Errorf("points parameter is required")
@@ -163,7 +160,7 @@ func parsePoints(s string) ([]int, error) {
 	out := make([]int, len(parts))
 	for i, p := range parts {
 		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || strconv.Itoa(n) != p {
 			return nil, fmt.Errorf("points=%q: bad index %q", s, p)
 		}
 		out[i] = n
@@ -171,8 +168,8 @@ func parsePoints(s string) ([]int, error) {
 	return out, nil
 }
 
-// handlePeerPoints executes one shard of one batch of an exhibit on
-// behalf of a coordinating replica. The endpoint is available on every
+// handlePeerPoints executes some points of an exhibit's plan on behalf
+// of a coordinating replica. The endpoint is available on every
 // daemon (peer fleet or not): it only exposes results the public
 // exhibit endpoint already serves, at finer granularity.
 func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
@@ -201,12 +198,7 @@ func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "warmup must be >= 0 and measure > 0 (got %d, %d)", warmup, measure)
 		return
 	}
-	batch, err := strconv.Atoi(r.URL.Query().Get("batch"))
-	if err != nil || batch < 0 {
-		httpError(w, http.StatusBadRequest, "batch=%q: want a non-negative integer", r.URL.Query().Get("batch"))
-		return
-	}
-	indices, err := parsePoints(r.URL.Query().Get("points"))
+	indices, err := parsePoints(q.Get("points"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -232,15 +224,15 @@ func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
 	setup.Measure = measure
 	setup.Ctx = ctx
 
-	results, batchLen, err := experiments.RunExhibitShard(setup, name, batch, indices)
+	results, planLen, err := experiments.RunExhibitShard(setup, name, indices)
 	if err != nil {
-		// 422: the request was well-formed but this replica cannot derive
-		// that shard (geometry drift between versions, cancelled context).
-		// The coordinator falls back to local execution.
-		httpError(w, http.StatusUnprocessableEntity, "shard %s batch %d: %v", name, batch, err)
+		// 422: the request was well-formed but this replica cannot execute
+		// those points (an index past its plan, a cancelled context). The
+		// coordinator falls back to local execution.
+		httpError(w, http.StatusUnprocessableEntity, "shard %s: %v", name, err)
 		return
 	}
 	s.metrics.peerPointsServed.Add(uint64(len(results)))
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(peerPointsResponse{BatchLen: batchLen, Results: results})
+	json.NewEncoder(w).Encode(peerPointsResponse{PlanLen: planLen, Results: results})
 }

@@ -326,10 +326,10 @@ func (s *Server) runExhibit(ctx context.Context, runner experiments.Runner, key 
 	setup.Measure = key.Measure
 	setup.Ctx = ctx
 	if s.ring != nil {
-		// Peer fleet: remotely-owned sweep points are fetched from their
+		// Peer fleet: remotely-owned plan points are fetched from their
 		// owners instead of run; any failure falls back to local
 		// execution, so the output is byte-identical either way.
-		setup = setup.ShardedBy(s.newPeerRouter(ctx, key))
+		setup = setup.ShardedBy(&peerRouter{s: s, ctx: ctx, key: key})
 	}
 
 	out := runner.Run(setup)

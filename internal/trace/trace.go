@@ -67,21 +67,6 @@ func (l *limited) Next() (isa.Inst, bool) {
 	return l.src.Next()
 }
 
-// Skip discards the next n instructions from src, returning the number
-// actually discarded (fewer if the stream ends early). It is used to
-// implement warm-up windows where caches and predictors train but no
-// statistics are collected by a downstream consumer.
-func Skip(src Source, n int64) int64 {
-	var discarded int64
-	for discarded < n {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		discarded++
-	}
-	return discarded
-}
-
 // Collect drains up to max instructions from src into a fresh slice.
 // max < 0 collects the entire stream.
 func Collect(src Source, max int64) []isa.Inst {

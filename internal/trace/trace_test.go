@@ -86,24 +86,23 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimitAndSkip(t *testing.T) {
+func TestLimit(t *testing.T) {
 	insts := sampleInsts(100, 2)
 	src := NewSliceSource(insts)
-	if n := Skip(src, 30); n != 30 {
-		t.Fatalf("Skip = %d, want 30", n)
+	if n := len(Collect(Limit(src, 30), -1)); n != 30 {
+		t.Fatalf("first limit collected %d, want 30", n)
 	}
-	lim := Limit(src, 50)
-	got := Collect(lim, -1)
+	// A second limit continues where the first stopped.
+	got := Collect(Limit(src, 50), -1)
 	if len(got) != 50 {
 		t.Fatalf("collected %d, want 50", len(got))
 	}
 	if got[0] != insts[30] {
-		t.Fatalf("first after skip = %v, want %v", got[0], insts[30])
+		t.Fatalf("first after the first limit = %v, want %v", got[0], insts[30])
 	}
-	// Skipping past the end reports the truncated count.
-	src2 := NewSliceSource(insts[:5])
-	if n := Skip(src2, 10); n != 5 {
-		t.Fatalf("Skip past end = %d, want 5", n)
+	// A limit past the end stops with the stream.
+	if n := len(Collect(Limit(NewSliceSource(insts[:5]), 10), -1)); n != 5 {
+		t.Fatalf("limit past end collected %d, want 5", n)
 	}
 }
 
