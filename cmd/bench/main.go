@@ -15,9 +15,11 @@
 // Go-heap occupancy and headline MLP metrics.
 //
 // With -compare and -gate-pct the command doubles as a regression gate:
-// it exits non-zero when any micro-benchmark's ns/op or a sweep heap
-// peak grew more than the threshold over the baseline report. Setting
-// MLPSIM_BENCH_GATE=off turns the gate into a report-only comparison.
+// it exits non-zero when any micro-benchmark's ns/op (measured against
+// a reference kernel timed just before it, so the host's speed at the
+// moment divides out) or a sweep heap peak grew more than the threshold
+// over the baseline report. Setting MLPSIM_BENCH_GATE=off turns the
+// gate into a report-only comparison.
 //
 // Usage:
 //
@@ -61,6 +63,10 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// RefNsPerOp is the reference kernel's ns/iteration timed just
+	// before this benchmark: the host's speed at that moment, which the
+	// gate divides out.
+	RefNsPerOp float64 `json:"ref_ns_per_op,omitempty"`
 }
 
 type sweepResult struct {
@@ -243,10 +249,67 @@ func toResult(r testing.BenchmarkResult) benchResult {
 	}
 }
 
+// refTable is the reference kernel's 256 KiB working set, sized for a
+// core's private cache. On a shared 2-vCPU VM a walk over it tracked
+// the micro-benchmarks' drift (over five back-to-back runs the
+// micros' summed coefficient of variation fell from 1.41 for raw ns/op
+// to 1.20 for ns/op per reference unit), while a 2 MiB walk swung with
+// the neighbours' use of the shared cache far more than the micros did
+// and made the ratio noisier than raw ns/op.
+var refTable = make([]uint64, 1<<15)
+
+// refSink keeps the reference kernel's result live.
+var refSink uint64
+
+// referenceKernel runs n iterations of a fixed loop that calls no
+// simulator code — a xorshift walk of dependent loads and stores over
+// refTable with a data-dependent branch, the integer, branch and memory
+// mix the micro-benchmarks spend their time on — so no change to the
+// simulator can move its speed; only the host can.
+func referenceKernel(n int) {
+	t := refTable
+	x, acc := uint64(88172645463325252), uint64(0)
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		j := (x ^ acc) & uint64(len(t)-1)
+		acc += t[j]
+		t[j] = acc + x
+		if acc&1 == 0 {
+			acc ^= x >> 3
+		}
+	}
+	refSink = acc
+}
+
+// referenceNsPerOp times the reference kernel: its mean ns/iteration
+// over about half a second, the same estimator (total time over total
+// work) testing.Benchmark reports for the micro-benchmark it precedes.
+func referenceNsPerOp() float64 {
+	referenceKernel(1 << 16) // fault the table in
+	var n int
+	start := time.Now()
+	for time.Since(start) < 500*time.Millisecond {
+		referenceKernel(1 << 14)
+		n += 1 << 14
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
 func microBenchmarks(w workload.Config) map[string]benchResult {
 	out := make(map[string]benchResult)
+	// Every micro-benchmark is timed right after the reference kernel,
+	// so the gate can compare each against the host's speed at that
+	// moment rather than at the baseline's.
+	bench := func(name string, fn func(b *testing.B)) {
+		ref := referenceNsPerOp()
+		r := toResult(testing.Benchmark(fn))
+		r.RefNsPerOp = ref
+		out[name] = r
+	}
 
-	out["Generator"] = toResult(testing.Benchmark(func(b *testing.B) {
+	bench("Generator", func(b *testing.B) {
 		g := workload.MustNew(w)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -255,9 +318,9 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 				b.Fatal("stream ended")
 			}
 		}
-	}))
+	})
 
-	out["AnnotateStream"] = toResult(testing.Benchmark(func(b *testing.B) {
+	bench("AnnotateStream", func(b *testing.B) {
 		a := annotate.New(workload.MustNew(w), annotate.Config{})
 		a.Warm(100_000)
 		b.ReportAllocs()
@@ -267,12 +330,12 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 				b.Fatal("stream ended")
 			}
 		}
-	}))
+	})
 
 	a := annotate.New(workload.MustNew(w), annotate.Config{})
 	a.Warm(100_000)
 	s := atrace.Capture(a, 1_000_000)
-	out["ReplayStream"] = toResult(testing.Benchmark(func(b *testing.B) {
+	bench("ReplayStream", func(b *testing.B) {
 		r := s.Replay()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -281,9 +344,9 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 				r = s.Replay()
 			}
 		}
-	}))
+	})
 
-	out["MLPsimEngine"] = toResult(testing.Benchmark(func(b *testing.B) {
+	bench("MLPsimEngine", func(b *testing.B) {
 		cfg := core.Default()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -303,7 +366,7 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 			e.Run()
 			remaining -= n
 		}
-	}))
+	})
 
 	// Gang dispatch at K = 1..64 engines over one shared decode. One op
 	// = one config·instruction, so ns/op falling with K is the win: the
@@ -315,7 +378,7 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 	// asserts in its tests.
 	for _, k := range []int{1, 4, 16, 32, 64} {
 		k := k
-		out[fmt.Sprintf("GangSweepK%d", k)] = toResult(testing.Benchmark(func(b *testing.B) {
+		bench(fmt.Sprintf("GangSweepK%d", k), func(b *testing.B) {
 			cfgs := gangConfigs(k)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -335,7 +398,7 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 				g.Run()
 				remaining -= int64(k) * n
 			}
-		}))
+		})
 	}
 	// The cycle simulator alone (CycleSim, one op = one instruction) and
 	// as a Table 3 gang of three latencies over one decode
@@ -349,7 +412,7 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 		{"CycleSimGangK3", experiments.Table3Latencies},
 	} {
 		k := len(c.latencies)
-		out[c.name] = toResult(testing.Benchmark(func(b *testing.B) {
+		bench(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for remaining := int64(b.N); remaining > 0; {
@@ -368,7 +431,7 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 				g.Run()
 				remaining -= int64(k) * n
 			}
-		}))
+		})
 	}
 
 	// Pure policy replay over fixed synthetic per-thread epoch traces:
@@ -378,7 +441,7 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 	// reusable Scheduler is warmed before the clock starts, so steady
 	// state is exactly zero allocations per pass — the gate treats any
 	// return of per-op allocation here as a regression.
-	out["SMTSchedule"] = toResult(testing.Benchmark(func(b *testing.B) {
+	bench("SMTSchedule", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(9))
 		traces := make([][]smt.EpochRec, 4)
 		for t := range traces {
@@ -398,7 +461,36 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 		for i := 0; i < b.N; i++ {
 			sched.Schedule(traces, smt.PolicyMLPAware, 64, 512, 0.125)
 		}
-	}))
+	})
+
+	// The SMT pre-pass the replay above consumes: one shared interleaved
+	// annotation pass demultiplexed into K=4 Database thread engines
+	// (RunScheduledPolicies under one policy; the replay is under 1% of
+	// the op). ns/op is per measured thread-instruction, warmup
+	// included, so it reads against AnnotateStream + MLPsimEngine — a
+	// return to one annotation pass per thread would roughly double it.
+	// allocs/op and B/op stay per whole pre-pass.
+	const prePassK, prePassWarmup, prePassMeasure = 4, 20_000, 50_000
+	threads := make([]workload.Config, prePassK)
+	for t := range threads {
+		threads[t] = workload.Database(1).WithSeed(1 + int64(t)*101)
+	}
+	prePass := smt.SchedConfig{Config: smt.Config{
+		Threads:   threads,
+		Processor: core.Default(),
+		Warmup:    prePassWarmup,
+		Measure:   prePassMeasure,
+	}}
+	bench("SMTPrePassK4", func(b *testing.B) {
+		policy := []string{smt.PolicyRoundRobin}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			smt.RunScheduledPolicies(prePass, policy)
+		}
+	})
+	r := out["SMTPrePassK4"]
+	r.NsPerOp /= prePassK * prePassMeasure
+	out["SMTPrePassK4"] = r
 	return out
 }
 
@@ -901,6 +993,13 @@ func loadReport(path string) (report, error) {
 // ns/op comes from testing.Benchmark's calibrated loops and heap peaks
 // are allocation-driven, so both are stable enough to gate on.
 //
+// ns/op still moves with the host's speed, which drifts by tens of
+// percent over minutes on a shared machine. When both reports carry the
+// reference kernel's timing for a benchmark, the gate compares ns/op
+// divided by that adjacent reference, so a uniformly slower host cancels
+// out and only a change relative to the host shows; a baseline without
+// reference timings falls back to raw ns/op.
+//
 // A benchmark the two reports disagree on is a violation, not a skip:
 // a name missing from a non-empty baseline (or carried with a zero
 // ns/op) would otherwise pass ungated forever, and a baseline name
@@ -919,7 +1018,13 @@ func gateViolations(old, cur report, pct float64) []string {
 			out = append(out, fmt.Sprintf("%s: baseline ns/op is %g, cannot gate (refresh the baseline)", name, o.NsPerOp))
 			continue
 		}
-		if growth := 100 * (c.NsPerOp - o.NsPerOp) / o.NsPerOp; growth > pct {
+		if o.RefNsPerOp > 0 && c.RefNsPerOp > 0 {
+			or, cr := o.NsPerOp/o.RefNsPerOp, c.NsPerOp/c.RefNsPerOp
+			if growth := 100 * (cr - or) / or; growth > pct {
+				out = append(out, fmt.Sprintf("%s: %.1f -> %.1f ns/op, %.2f -> %.2f reference units (+%.1f%%, limit %.0f%%)",
+					name, o.NsPerOp, c.NsPerOp, or, cr, growth, pct))
+			}
+		} else if growth := 100 * (c.NsPerOp - o.NsPerOp) / o.NsPerOp; growth > pct {
 			out = append(out, fmt.Sprintf("%s: %.1f -> %.1f ns/op (+%.1f%%, limit %.0f%%)",
 				name, o.NsPerOp, c.NsPerOp, growth, pct))
 		}
@@ -1003,8 +1108,12 @@ func printComparison(path string, old, cur report) {
 	fmt.Printf("comparison vs %s (%s):\n", path, old.Schema)
 	for name, c := range cur.Benchmarks {
 		if o, ok := old.Benchmarks[name]; ok && o.NsPerOp > 0 {
-			fmt.Printf("  %-16s %8.1f -> %8.1f ns/op  (%+.1f%%)\n",
-				name, o.NsPerOp, c.NsPerOp, 100*(c.NsPerOp-o.NsPerOp)/o.NsPerOp)
+			fmt.Printf("  %-16s %8.1f -> %8.1f ns/op  (%+.1f%%", name, o.NsPerOp, c.NsPerOp, 100*(c.NsPerOp-o.NsPerOp)/o.NsPerOp)
+			if o.RefNsPerOp > 0 && c.RefNsPerOp > 0 {
+				or, cr := o.NsPerOp/o.RefNsPerOp, c.NsPerOp/c.RefNsPerOp
+				fmt.Printf(", %+.1f%% vs reference", 100*(cr-or)/or)
+			}
+			fmt.Println(")")
 		}
 	}
 	if old.Sweep != nil && cur.Sweep != nil {
@@ -1138,7 +1247,7 @@ func main() {
 	}
 
 	rep := report{
-		Schema:  "mlpsim-bench/12",
+		Schema:  "mlpsim-bench/15",
 		Scale:   *scale,
 		Seed:    *seed,
 		Warmup:  s.Warmup,
@@ -1215,8 +1324,9 @@ func main() {
 		rep.StoreSets = runStoreSets(s, rep.MLP)
 	}
 
-	// Same reasoning: the scheduled-SMT pre-pass annotates K interleaved
-	// streams per point, so it runs after the heap-peak measurements too.
+	// Same reasoning: each scheduled-SMT point keeps K thread engines and
+	// their demultiplexing queues alive at once, so it runs after the
+	// heap-peak measurements too.
 	if !*skipSMTSched {
 		rep.SMTSched = runSMTSched(s, rep.MLP)
 	}

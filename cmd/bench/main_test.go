@@ -168,6 +168,71 @@ func TestGateViolations(t *testing.T) {
 		}
 	})
 
+	refOld := report{Benchmarks: map[string]benchResult{
+		"AnnotateStream": {NsPerOp: 100, RefNsPerOp: 2},
+		"ReplayStream":   {NsPerOp: 10, RefNsPerOp: 2},
+	}}
+
+	t.Run("uniformHostSlowdownPasses", func(t *testing.T) {
+		// The whole host ran 2x slower: every micro and its reference
+		// doubled together, which is no regression of the code.
+		cur := report{Benchmarks: map[string]benchResult{
+			"AnnotateStream": {NsPerOp: 200, RefNsPerOp: 4},
+			"ReplayStream":   {NsPerOp: 20, RefNsPerOp: 4},
+		}}
+		if v := gateViolations(refOld, cur, 50); len(v) != 0 {
+			t.Errorf("a uniformly 2x slower host must pass, got %v", v)
+		}
+	})
+
+	t.Run("referenceRelativeRegressionFlagged", func(t *testing.T) {
+		// ReplayStream doubled while its adjacent reference did not.
+		cur := report{Benchmarks: map[string]benchResult{
+			"AnnotateStream": {NsPerOp: 100, RefNsPerOp: 2},
+			"ReplayStream":   {NsPerOp: 20, RefNsPerOp: 2},
+		}}
+		v := gateViolations(refOld, cur, 50)
+		if len(v) != 1 || !strings.Contains(v[0], "ReplayStream") || !strings.Contains(v[0], "reference") {
+			t.Errorf("expected one reference-relative ReplayStream violation, got %v", v)
+		}
+		// On a 2x faster host, halved ns/op is no change at all...
+		cur.Benchmarks["ReplayStream"] = benchResult{NsPerOp: 5, RefNsPerOp: 1}
+		cur.Benchmarks["AnnotateStream"] = benchResult{NsPerOp: 50, RefNsPerOp: 1}
+		if v := gateViolations(refOld, cur, 50); len(v) != 0 {
+			t.Errorf("unchanged reference units must pass, got %v", v)
+		}
+		// ...while the baseline's raw ns/op on a 4x faster host is a 4x
+		// regression.
+		cur.Benchmarks["ReplayStream"] = benchResult{NsPerOp: 10, RefNsPerOp: 0.5}
+		if v := gateViolations(refOld, cur, 50); len(v) != 1 || !strings.Contains(v[0], "ReplayStream") {
+			t.Errorf("raw-equal ns/op on a 4x faster host must fail, got %v", v)
+		}
+	})
+
+	t.Run("referenceZeroAllocRegressionFlagged", func(t *testing.T) {
+		// Dividing out the host's speed never forgives an allocation.
+		cur := report{Benchmarks: map[string]benchResult{
+			"AnnotateStream": {NsPerOp: 100, RefNsPerOp: 2, AllocsPerOp: 1},
+			"ReplayStream":   {NsPerOp: 10, RefNsPerOp: 2},
+		}}
+		v := gateViolations(refOld, cur, 50)
+		if len(v) != 1 || !strings.Contains(v[0], "AnnotateStream") || !strings.Contains(v[0], "zero-alloc steady state") {
+			t.Errorf("expected one zero-alloc violation, got %v", v)
+		}
+	})
+
+	t.Run("baselineWithoutReferenceFallsBack", func(t *testing.T) {
+		// An older baseline has no reference timings: raw ns/op gates.
+		cur := report{Benchmarks: map[string]benchResult{
+			"AnnotateStream": {NsPerOp: 100, RefNsPerOp: 2},
+			"ReplayStream":   {NsPerOp: 20, RefNsPerOp: 4},
+		}}
+		v := gateViolations(old, cur, 50)
+		if len(v) != 1 || !strings.Contains(v[0], "ReplayStream") || strings.Contains(v[0], "reference") {
+			t.Errorf("expected one raw ns/op ReplayStream violation, got %v", v)
+		}
+	})
+
 	t.Run("deterministicOrder", func(t *testing.T) {
 		cur := report{
 			Benchmarks: map[string]benchResult{

@@ -97,8 +97,10 @@ type binder struct {
 	prevMemIdx, prevStoreIdx, prevBranchIdx int64
 }
 
-func newBinder() *binder {
-	b := &binder{lastStore: NewStoreTable()}
+// newBinder returns a binder whose StoreTable is sized for at most
+// maxInsts bound instructions (0 = unbounded: the full table).
+func newBinder(maxInsts int64) *binder {
+	b := &binder{lastStore: storeTableFor(maxInsts)}
 	for i := range b.producers {
 		b.producers[i] = -1
 	}
@@ -272,7 +274,11 @@ func NewEngine(src AnnotatedSource, cfg Config) *Engine {
 	e.srcInto, _ = src.(inPlaceSource)
 	e.srcLinked, _ = src.(linkedSource)
 	if e.srcLinked == nil {
-		e.bind = newBinder()
+		// pullSource never binds more than MaxInstructions instructions,
+		// so a bounded engine starts with a table sized for them: K
+		// per-thread engines alive at once (the SMT pre-pass) would
+		// otherwise each hold a full-size table.
+		e.bind = newBinder(cfg.MaxInstructions)
 	}
 	n := ringSize(cfg)
 	e.insts = make([]annotate.Inst, n)

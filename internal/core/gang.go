@@ -76,7 +76,7 @@ func newGangRing(src AnnotatedSource, wantAI bool, capHint int) *gangRing {
 	}
 	r := &gangRing{
 		src:  src,
-		bind: newBinder(),
+		bind: newBinder(0),
 		meta: make([]metaWord, n),
 		lnk:  make([]links, n),
 		mask: int64(n) - 1,

@@ -11,8 +11,11 @@ package core
 // bit-for-bit unchanged. Both the epoch-model engine and the cycle
 // simulator use it for store-to-load memory dependences.
 //
-// The table is sized at 2x the clear threshold, so the load factor never
-// exceeds 0.5 and probes stay short; no growth path is needed.
+// The load factor never exceeds 0.5, so probes stay short. A table may
+// start small (storeTableFor) and doubles whenever an insert would
+// cross half its size, up to storeTableSize slots — 2x the clear
+// threshold, where crossing half the size is exactly the clear. The
+// starting size is only a hint: answers never depend on it.
 
 const (
 	// storeTableClear matches the old map's bound: a table exceeding this
@@ -20,16 +23,20 @@ const (
 	storeTableClear = 1 << 16
 	storeTableBits  = 17
 	storeTableSize  = 1 << storeTableBits
-	storeTableMask  = storeTableSize - 1
+	// storeTableMinBits is the smallest table storeTableFor builds.
+	storeTableMinBits = 10
 )
 
 // StoreTable is the open-addressed last-store map. The zero value is not
 // usable; call NewStoreTable.
 type StoreTable struct {
 	// slots interleaves each key with its value, so a probe that hits
-	// touches one cache line, not one per column: the table is far larger
-	// than the caches, and every load's lookup lands on a random slot.
+	// touches one cache line, not one per column: a full-size table is
+	// far larger than the caches, and every load's lookup lands on a
+	// random slot.
 	slots []storeEntry
+	mask  uint64
+	shift uint
 	used  int
 }
 
@@ -40,21 +47,48 @@ type storeEntry struct {
 	val int64
 }
 
-// NewStoreTable returns an empty table.
-func NewStoreTable() *StoreTable {
-	return &StoreTable{slots: make([]storeEntry, storeTableSize)}
+// NewStoreTable returns an empty full-size table.
+func NewStoreTable() *StoreTable { return newStoreTable(storeTableBits) }
+
+func newStoreTable(bits uint) *StoreTable {
+	t := &StoreTable{}
+	t.reset(bits)
+	return t
 }
 
-// storeSlot is a Fibonacci hash: store addresses are heavily strided, and
+// reset makes t an empty table of 1<<bits slots.
+func (t *StoreTable) reset(bits uint) {
+	t.slots = make([]storeEntry, 1<<bits)
+	t.mask = 1<<bits - 1
+	t.shift = 64 - bits
+	t.used = 0
+}
+
+// storeTableFor returns an empty table sized for at most maxKeys
+// distinct keys — the smallest power of two >= 2*maxKeys slots, at least
+// 1024 — or the full size when maxKeys is 0 or past the clear threshold.
+// More keys than the hint only cost a regrowth.
+func storeTableFor(maxKeys int64) *StoreTable {
+	if maxKeys <= 0 || maxKeys > storeTableClear {
+		return NewStoreTable()
+	}
+	bits := uint(storeTableMinBits)
+	for int64(1)<<bits < 2*maxKeys {
+		bits++
+	}
+	return newStoreTable(bits)
+}
+
+// slot is a Fibonacci hash: store addresses are heavily strided, and
 // the multiply spreads consecutive keys across the table.
-func storeSlot(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> (64 - storeTableBits) & storeTableMask
+func (t *StoreTable) slot(key uint64) uint64 {
+	return (key * 0x9E3779B97F4A7C15) >> t.shift & t.mask
 }
 
 // Get returns the last-store index recorded for key.
 func (t *StoreTable) Get(key uint64) (int64, bool) {
 	k := key + 1
-	for i := storeSlot(key); ; i = (i + 1) & storeTableMask {
+	for i := t.slot(key); ; i = (i + 1) & t.mask {
 		switch e := &t.slots[i]; e.key {
 		case k:
 			return e.val, true
@@ -69,7 +103,7 @@ func (t *StoreTable) Get(key uint64) (int64, bool) {
 // map semantics, which also dropped the just-inserted entry).
 func (t *StoreTable) Put(key uint64, val int64) {
 	k := key + 1
-	for i := storeSlot(key); ; i = (i + 1) & storeTableMask {
+	for i := t.slot(key); ; i = (i + 1) & t.mask {
 		switch e := &t.slots[i]; e.key {
 		case k:
 			e.val = val
@@ -77,11 +111,32 @@ func (t *StoreTable) Put(key uint64, val int64) {
 		case 0:
 			e.key, e.val = k, val
 			t.used++
-			if t.used > storeTableClear {
-				t.clear()
+			if t.used > len(t.slots)/2 {
+				if len(t.slots) < storeTableSize {
+					t.grow()
+				} else {
+					t.clear()
+				}
 			}
 			return
 		}
+	}
+}
+
+// grow doubles the table, re-placing every entry.
+func (t *StoreTable) grow() {
+	old := t.slots
+	t.reset(64 - t.shift + 1)
+	for _, e := range old {
+		if e.key == 0 {
+			continue
+		}
+		i := t.slot(e.key - 1)
+		for t.slots[i].key != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.slots[i] = e
+		t.used++
 	}
 }
 

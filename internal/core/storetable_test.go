@@ -145,3 +145,54 @@ func BenchmarkStoreTable(b *testing.B) {
 		_ = sink
 	}
 }
+
+// TestStoreTableSizedMatchesFull drives a table sized for n keys and a
+// full-size table with one random operation stream that passes n
+// distinct keys (forcing regrowth) and, for the long streams, the 64K
+// clear: both must give the same Get answers and hold the same count
+// throughout. The starting size is only a hint.
+func TestStoreTableSizedMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int64{1, 100, 1_000, 5_000, 40_000, storeTableClear} {
+		sized, full := storeTableFor(n), NewStoreTable()
+		want := 1 << storeTableMinBits
+		for int64(want) < 2*n {
+			want <<= 1
+		}
+		if len(sized.slots) != want {
+			t.Fatalf("n=%d: table starts at %d slots, want %d", n, len(sized.slots), want)
+		}
+		ops := 16 * want // ~4x the slot count in inserts: regrowth
+		if n >= 5_000 {
+			ops = 600_000 // ~150k distinct-key inserts: past the clear
+		}
+		keys := storeKeys(rng, ops)
+		for i, key := range keys {
+			if rng.Intn(4) == 0 {
+				sized.Put(key, int64(i))
+				full.Put(key, int64(i))
+			} else {
+				gv, gok := sized.Get(key)
+				wv, wok := full.Get(key)
+				if gok != wok || gv != wv {
+					t.Fatalf("n=%d op %d key %#x: sized (%d,%t), full (%d,%t)", n, i, key, gv, gok, wv, wok)
+				}
+			}
+			if sized.Len() != full.Len() {
+				t.Fatalf("n=%d op %d: sized holds %d keys, full %d", n, i, sized.Len(), full.Len())
+			}
+		}
+		if len(sized.slots) > storeTableSize {
+			t.Fatalf("n=%d: table grew to %d slots, past the full size", n, len(sized.slots))
+		}
+		if want < storeTableSize && len(sized.slots) == want {
+			t.Fatalf("n=%d: the stream never regrew the table", n)
+		}
+	}
+	if got := len(storeTableFor(0).slots); got != storeTableSize {
+		t.Fatalf("unbounded table has %d slots, want %d", got, storeTableSize)
+	}
+	if got := len(storeTableFor(storeTableClear + 1).slots); got != storeTableSize {
+		t.Fatalf("table past the clear bound has %d slots, want %d", got, storeTableSize)
+	}
+}

@@ -5,9 +5,9 @@ package experiments
 // actually arbitrates the shared fetch unit under three policies
 // (round-robin, ICOUNT-like, MLP-aware) and reports where each lands
 // inside the bracket, plus per-thread fairness. The per-thread epoch
-// traces are schedule-independent, so each sweep point runs its K
-// expensive interleaved annotation passes once and replays them under
-// every policy.
+// traces are schedule-independent, so each sweep point runs its one
+// expensive interleaved annotation pass (shared by all K thread
+// engines) once and replays the traces under every policy.
 
 import (
 	"mlpsim/internal/smt"

@@ -179,23 +179,9 @@ func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown exhibit %q", name)
 		return
 	}
-	seed, err := int64Param(r, "seed", s.opts.Setup.Seed)
+	run, err := parseRunParams(q, s.opts.Setup)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	warmup, err := int64Param(r, "warmup", s.opts.Setup.Warmup)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	measure, err := int64Param(r, "measure", s.opts.Setup.Measure)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if warmup < 0 || measure <= 0 {
-		httpError(w, http.StatusBadRequest, "warmup must be >= 0 and measure > 0 (got %d, %d)", warmup, measure)
 		return
 	}
 	indices, err := parsePoints(q.Get("points"))
@@ -218,10 +204,10 @@ func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
 	s.metrics.peerRequests.Add(1)
 
 	setup := s.opts.Setup
-	setup.Seed = seed
-	setup.Workloads = workload.Presets(seed)
-	setup.Warmup = warmup
-	setup.Measure = measure
+	setup.Seed = run.Seed
+	setup.Workloads = workload.Presets(run.Seed)
+	setup.Warmup = run.Warmup
+	setup.Measure = run.Measure
 	setup.Ctx = ctx
 
 	results, planLen, err := experiments.RunExhibitShard(setup, name, indices)

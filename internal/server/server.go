@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -225,8 +226,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // int64Param parses one optional integer query parameter.
-func int64Param(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
+func int64Param(q url.Values, name string, def int64) (int64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -237,6 +238,51 @@ func int64Param(r *http.Request, name string, def int64) (int64, error) {
 	return n, nil
 }
 
+// exhibitQuery is a validated exhibit request: the run parameters over
+// the daemon's defaults plus the response format.
+type exhibitQuery struct {
+	Seed, Warmup, Measure int64
+	Format                string
+}
+
+// parseRunParams reads seed, warmup and measure from q, defaulting to
+// def's, and requires warmup >= 0 and measure > 0. Every error it
+// returns is the client's: the handlers answer it with 400.
+func parseRunParams(q url.Values, def experiments.Setup) (exhibitQuery, error) {
+	var x exhibitQuery
+	var err error
+	if x.Seed, err = int64Param(q, "seed", def.Seed); err != nil {
+		return x, err
+	}
+	if x.Warmup, err = int64Param(q, "warmup", def.Warmup); err != nil {
+		return x, err
+	}
+	if x.Measure, err = int64Param(q, "measure", def.Measure); err != nil {
+		return x, err
+	}
+	if x.Warmup < 0 || x.Measure <= 0 {
+		return x, fmt.Errorf("warmup must be >= 0 and measure > 0 (got %d, %d)", x.Warmup, x.Measure)
+	}
+	return x, nil
+}
+
+// parseExhibitQuery is parseRunParams plus the response format (json,
+// csv or text; default json).
+func parseExhibitQuery(q url.Values, def experiments.Setup) (exhibitQuery, error) {
+	x, err := parseRunParams(q, def)
+	if err != nil {
+		return x, err
+	}
+	switch x.Format = q.Get("format"); x.Format {
+	case "":
+		x.Format = "json"
+	case "json", "csv", "text":
+	default:
+		return x, fmt.Errorf("format=%q; want json, csv or text", x.Format)
+	}
+	return x, nil
+}
+
 func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	runner := experiments.Find(name)
@@ -244,38 +290,16 @@ func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown exhibit %q (see /v1/exhibits)", name)
 		return
 	}
-	seed, err := int64Param(r, "seed", s.opts.Setup.Seed)
+	x, err := parseExhibitQuery(r.URL.Query(), s.opts.Setup)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	warmup, err := int64Param(r, "warmup", s.opts.Setup.Warmup)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	measure, err := int64Param(r, "measure", s.opts.Setup.Measure)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if warmup < 0 || measure <= 0 {
-		httpError(w, http.StatusBadRequest, "warmup must be >= 0 and measure > 0 (got %d, %d)", warmup, measure)
-		return
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if format != "json" && format != "csv" && format != "text" {
-		httpError(w, http.StatusBadRequest, "format=%q; want json, csv or text", format)
 		return
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 
-	key := resultKey{Exhibit: runner.ID, Seed: seed, Warmup: warmup, Measure: measure}
+	key := resultKey{Exhibit: runner.ID, Seed: x.Seed, Warmup: x.Warmup, Measure: x.Measure}
 	out, err := s.results.do(ctx, key, func(runCtx context.Context) (fmt.Stringer, error) {
 		return s.runExhibit(runCtx, *runner, key)
 	})
@@ -287,7 +311,7 @@ func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	switch format {
+	switch x.Format {
 	case "json":
 		w.Header().Set("Content-Type", "application/json")
 		if err := experiments.WriteJSON(w, out); err != nil {

@@ -31,10 +31,7 @@ import (
 	"fmt"
 	"slices"
 
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
-	"mlpsim/internal/trace"
-	"mlpsim/internal/workload"
 )
 
 // Policy names accepted by SchedConfig.Policy.
@@ -620,50 +617,6 @@ func traceBounds(traces [][]EpochRec) (lower, upper float64) {
 	return lower, upper
 }
 
-// threadTrace is one thread's pre-pass product: its engine result under
-// the shared hierarchy plus the epoch records the scheduler replays.
-type threadTrace struct {
-	res    core.Result
-	epochs []EpochRec
-}
-
-// buildThreadTraces runs the per-thread shared-hierarchy passes exactly
-// like Run (one deterministic interleaved annotation pass per thread,
-// filtered to that thread) but steps each engine epoch-at-a-time to
-// record the schedule trace. cfg must be validated with the granule
-// already defaulted.
-func buildThreadTraces(cfg Config) []threadTrace {
-	k := len(cfg.Threads)
-	out := make([]threadTrace, k)
-	for t := 0; t < k; t++ {
-		srcs := make([]trace.Source, k)
-		for i := range srcs {
-			srcs[i] = workload.MustNew(cfg.Threads[i])
-		}
-		iv := &interleaver{srcs: srcs, granule: cfg.Granule, cur: -1}
-		ann := annotate.New(iv, annotate.Config{Hierarchy: cfg.Hierarchy})
-		ann.Warm(cfg.Warmup * int64(k))
-		filt := &threadFilter{iv: iv, ann: ann, thread: t, budget: cfg.Measure}
-		p := cfg.Processor
-		p.MaxInstructions = cfg.Measure
-		st := core.NewStepper(filt, p)
-		var prevFetch int64
-		var prevAcc uint64
-		tr := threadTrace{}
-		for st.Step() {
-			tr.epochs = append(tr.epochs, EpochRec{
-				Insts:     st.Fetched() - prevFetch,
-				Accesses:  st.Accesses() - prevAcc,
-				Unretired: st.Unretired(),
-			})
-			prevFetch, prevAcc = st.Fetched(), st.Accesses()
-		}
-		tr.res = st.Finish()
-		out[t] = tr
-	}
-	return out
-}
-
 // RunScheduled executes one scheduled SMT simulation. It panics on
 // invalid configurations.
 func RunScheduled(cfg SchedConfig) SchedResult {
@@ -672,8 +625,8 @@ func RunScheduled(cfg SchedConfig) SchedResult {
 
 // RunScheduledPolicies runs the same configuration under several
 // policies, sharing one trace pre-pass: the per-thread epoch traces are
-// schedule-independent, so the K expensive interleaved annotation
-// passes run once and each policy is a cheap arithmetic replay. It
+// schedule-independent, so the one expensive interleaved annotation
+// pass runs once and each policy is a cheap arithmetic replay. It
 // panics on invalid configurations or policy names.
 func RunScheduledPolicies(cfg SchedConfig, policies []string) []SchedResult {
 	if err := cfg.Validate(); err != nil {
@@ -702,10 +655,7 @@ func RunScheduledPolicies(cfg SchedConfig, policies []string) []SchedResult {
 		return out
 	}
 	traces := buildThreadTraces(cfg.Config)
-	raw := make([][]EpochRec, k)
-	for t := range traces {
-		raw[t] = traces[t].epochs
-	}
+	raw := epochTraces(traces)
 	for i, name := range policies {
 		r := Schedule(raw, name, int64(cfg.Granule), cfg.EpochLatency, cfg.FairFloor)
 		r.PerThread = make([]core.Result, k)

@@ -8,7 +8,6 @@ import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/isa"
-	"mlpsim/internal/trace"
 	"mlpsim/internal/workload"
 )
 
@@ -343,15 +342,10 @@ func (s *sliceSource) Next() (isa.Inst, bool) {
 // iv.last attributing each one correctly. (The pre-fix interleaver
 // ended the whole pass at the first exhausted source.)
 func TestInterleaverUnevenMix(t *testing.T) {
-	lengths := []int{10, 3, 7}
-	srcs := make([]trace.Source, len(lengths))
+	lengths := unevenLengths
+	srcs := unevenSources()
 	total := 0
-	for th, n := range lengths {
-		insts := make([]isa.Inst, n)
-		for i := range insts {
-			insts[i] = isa.Inst{PC: uint64(th*1000 + i)}
-		}
-		srcs[th] = &sliceSource{insts: insts}
+	for _, n := range lengths {
 		total += n
 	}
 	// Granule 4 does not divide 3 or 7: both short threads die

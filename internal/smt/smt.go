@@ -124,6 +124,10 @@ func (iv *interleaver) Next() (isa.Inst, bool) {
 	return isa.Inst{}, false
 }
 
+// exhausted reports whether thread t's source has dried up: no further
+// instruction labelled t will ever come.
+func (iv *interleaver) exhausted(t int) bool { return iv.dead != nil && iv.dead[t] }
+
 // advance moves cur to the next live source and refills the granule.
 func (iv *interleaver) advance() {
 	for {
@@ -135,32 +139,12 @@ func (iv *interleaver) advance() {
 	iv.left = iv.granule
 }
 
-// threadFilter runs a fresh deterministic interleaved annotation pass and
-// yields only one thread's annotated instructions. Running one pass per
-// thread keeps memory bounded while giving every engine the exact shared
-// cache state the interleaved execution produces.
-type threadFilter struct {
-	iv     *interleaver
-	ann    *annotate.Annotator
-	thread int
-	budget int64
-}
-
-func (f *threadFilter) Next() (annotate.Inst, bool) {
-	for f.budget > 0 {
-		in, ok := f.ann.Next()
-		if !ok {
-			return annotate.Inst{}, false
-		}
-		if f.iv.last == f.thread {
-			f.budget--
-			return in, true
-		}
-	}
-	return annotate.Inst{}, false
-}
-
-// Run executes the SMT simulation. It panics on invalid configurations.
+// Run executes the SMT simulation: K solo baselines (one private-
+// hierarchy pass each) plus the shared runs, which come from the same
+// single interleaved pre-pass RunScheduledPolicies replays. The K
+// thread engines step interleaved, so an OnEpoch callback in
+// cfg.Processor sees the threads' epochs interleaved too. It panics on
+// invalid configurations.
 func Run(cfg Config) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -193,35 +177,13 @@ func Run(cfg Config) Result {
 		res.SoloMissRate[t] = r.MissRatePer100()
 	}
 
-	// Shared runs: one deterministic interleaved annotation pass per
-	// thread, filtered to that thread.
-	var totalAccesses uint64
-	var maxEpochs, sumEpochs uint64
-	for t := 0; t < k; t++ {
-		srcs := make([]trace.Source, k)
-		for i := range srcs {
-			srcs[i] = workload.MustNew(cfg.Threads[i])
-		}
-		iv := &interleaver{srcs: srcs, granule: cfg.Granule, cur: -1}
-		ann := annotate.New(iv, annotate.Config{Hierarchy: cfg.Hierarchy})
-		ann.Warm(cfg.Warmup * int64(k))
-		filt := &threadFilter{iv: iv, ann: ann, thread: t, budget: cfg.Measure}
-		p := cfg.Processor
-		p.MaxInstructions = cfg.Measure
-		r := core.NewEngine(filt, p).Run()
-		res.PerThread[t] = r
-		res.SharedMissRate[t] = r.MissRatePer100()
-		totalAccesses += r.Accesses
-		sumEpochs += r.Epochs
-		if r.Epochs > maxEpochs {
-			maxEpochs = r.Epochs
-		}
+	// Shared runs: one deterministic interleaved annotation pass,
+	// demultiplexed into the K per-thread engines (see prepass.go).
+	traces := buildThreadTraces(cfg)
+	for t, tr := range traces {
+		res.PerThread[t] = tr.res
+		res.SharedMissRate[t] = tr.res.MissRatePer100()
 	}
-	if maxEpochs > 0 {
-		res.CombinedUpper = float64(totalAccesses) / float64(maxEpochs)
-	}
-	if sumEpochs > 0 {
-		res.CombinedLower = float64(totalAccesses) / float64(sumEpochs)
-	}
+	res.CombinedLower, res.CombinedUpper = traceBounds(epochTraces(traces))
 	return res
 }
